@@ -69,8 +69,7 @@ enum class acquire_status : std::uint8_t {
   lost,
   /// try_acquire_for only: the timeout elapsed first.
   timed_out,
-  /// The service stopped, the transport died, or (remote) the server
-  /// stayed saturated past the bounded busy-retry budget.
+  /// The service stopped or the transport died.
   rejected,
 };
 

@@ -20,26 +20,6 @@ namespace elect::net {
 
 namespace {
 
-// Retry policy for `busy` answers (the server's blocking-op capacity is
-// full): exponential backoff from busy_backoff_initial doubling to
-// busy_backoff_cap. The retry is *bounded* — acquire() gives up once
-// busy_retry_budget of cumulative backoff has been slept and reports
-// `rejected` (the server has effectively been unavailable that whole
-// time); try_acquire_for() is bounded by its own deadline. Before this,
-// busy could surface to callers indistinguishable from a shutdown
-// rejection after a single fixed-delay retry loop.
-constexpr auto busy_backoff_initial = std::chrono::milliseconds(1);
-constexpr auto busy_backoff_cap = std::chrono::milliseconds(256);
-constexpr auto busy_retry_budget = std::chrono::seconds(30);
-
-/// One step of the backoff ladder: sleep `next`, then double it (capped).
-std::chrono::milliseconds backoff_step(std::chrono::milliseconds& next) {
-  const auto slept = next;
-  std::this_thread::sleep_for(slept);
-  next = std::min(next * 2, busy_backoff_cap);
-  return slept;
-}
-
 bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   std::size_t sent = 0;
   while (sent < n) {
@@ -557,9 +537,11 @@ svc::acquire_result client::to_acquire_result(
   return result;
 }
 
-svc::acquire_result client::try_acquire(const std::string& key) {
+svc::acquire_result client::acquire_call(wire::op kind,
+                                         const std::string& key,
+                                         std::uint64_t timeout_ms) {
   const auto start = std::chrono::steady_clock::now();
-  auto result = to_acquire_result(call_routed(wire::op::try_acquire, key, 0, 0));
+  auto result = to_acquire_result(call_routed(kind, key, 0, timeout_ms));
   result.latency_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
@@ -567,60 +549,22 @@ svc::acquire_result client::try_acquire(const std::string& key) {
   return result;
 }
 
+svc::acquire_result client::try_acquire(const std::string& key) {
+  return acquire_call(wire::op::try_acquire, key, 0);
+}
+
 svc::acquire_result client::acquire(const std::string& key) {
-  const auto start = std::chrono::steady_clock::now();
-  auto backoff = busy_backoff_initial;
-  std::chrono::milliseconds slept{0};
-  for (;;) {
-    const auto r = call_routed(wire::op::acquire, key, 0, 0);
-    if (r.has_value() && r->result == wire::status::busy) {
-      if (slept >= busy_retry_budget) {
-        // The waiter cap has been full for the entire retry budget:
-        // treat the server as unavailable rather than spinning forever.
-        svc::acquire_result result;
-        result.rejected = true;
-        return result;
-      }
-      slept += backoff_step(backoff);
-      continue;
-    }
-    auto result = to_acquire_result(r);
-    result.latency_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    return result;
-  }
+  return acquire_call(wire::op::acquire, key, 0);
 }
 
 svc::acquire_result client::try_acquire_for(const std::string& key,
                                             std::chrono::milliseconds timeout) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + timeout;
-  auto backoff = busy_backoff_initial;
-  for (;;) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    const auto budget = std::max(left, std::chrono::milliseconds(0));
-    const auto r =
-        call_routed(wire::op::try_acquire_for, key, 0,
-                    static_cast<std::uint64_t>(budget.count()));
-    if (r.has_value() && r->result == wire::status::busy) {
-      if (std::chrono::steady_clock::now() + backoff >= deadline) {
-        svc::acquire_result result;
-        result.timed_out = true;
-        return result;
-      }
-      (void)backoff_step(backoff);
-      continue;
-    }
-    auto result = to_acquire_result(r);
-    result.latency_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    return result;
-  }
+  // The server parks the request and keeps the deadline (saturating, like
+  // a local timeout), so the wire carries just the timeout.
+  return acquire_call(
+      wire::op::try_acquire_for, key,
+      static_cast<std::uint64_t>(
+          std::max(timeout, std::chrono::milliseconds::zero()).count()));
 }
 
 namespace {

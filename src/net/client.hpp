@@ -226,8 +226,7 @@ class client {
   /// the hub-side bound — a wedged callback must not buffer forever).
   static constexpr std::size_t max_queued_watch_events = 1u << 16;
 
-  /// submit + take; empty on transport failure (also after `busy`
-  /// retries are exhausted by the caller — busy is passed through).
+  /// submit + take; empty on transport failure.
   [[nodiscard]] std::optional<wire::response> call(wire::op kind,
                                                    const std::string& key,
                                                    std::uint64_t epoch,
@@ -267,6 +266,10 @@ class client {
   [[nodiscard]] channel& route(const std::string& key);
   [[nodiscard]] svc::acquire_result to_acquire_result(
       const std::optional<wire::response>& r) const;
+  /// One acquire-family call (routed), timed into latency_ns.
+  [[nodiscard]] svc::acquire_result acquire_call(wire::op kind,
+                                                 const std::string& key,
+                                                 std::uint64_t timeout_ms);
   void reader_main(channel& ch);
   /// Queue one op::event push frame for the event thread (reader
   /// thread; never runs callbacks itself — a callback making a

@@ -79,10 +79,18 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n,
   return true;
 }
 
-/// Records the server-side `serve` span for a traced request and runs
-/// the slow-request check when it ends. Destructor-driven so every
-/// early return in serve()/serve_blocking() is covered, and the span
-/// exists in the ring *before* the capture formats the trace.
+/// Record a traced request's `serve` span, ending now, then run the
+/// slow-request check (which dumps the ring, span included).
+void record_serve(std::uint64_t trace, wire::op kind, std::uint64_t start) {
+  const std::uint64_t end = obs::now_ns();
+  obs::record_for(trace, obs::phase::serve, start, end);
+  std::string label = "serve ";
+  label += wire::to_string(kind);
+  (void)obs::maybe_capture_slow(trace, std::chrono::nanoseconds(end - start),
+                                label);
+}
+
+/// serve()'s span, destructor-driven so every early return is covered.
 class serve_trace {
  public:
   serve_trace(std::uint64_t trace, wire::op kind) noexcept
@@ -93,13 +101,7 @@ class serve_trace {
   serve_trace& operator=(const serve_trace&) = delete;
 
   ~serve_trace() {
-    if (trace_ == 0) return;
-    const std::uint64_t end = obs::now_ns();
-    obs::record_for(trace_, obs::phase::serve, start_, end);
-    std::string label = "serve ";
-    label += wire::to_string(kind_);
-    (void)obs::maybe_capture_slow(
-        trace_, std::chrono::nanoseconds(end - start_), label);
+    if (trace_ != 0) record_serve(trace_, kind_, start_);
   }
 
  private:
@@ -198,7 +200,7 @@ void render_net_prometheus(std::string& out, const net_report& r) {
   obs::prom_counter(out, "elect_net_bytes_out_total", "Bytes sent.",
                     r.bytes_out);
   obs::prom_counter(out, "elect_net_busy_rejections_total",
-                    "Requests answered busy at the blocking-op cap.",
+                    "Watch ops answered busy at the per-connection watch cap.",
                     r.busy_rejections);
   obs::prom_counter(out, "elect_net_protocol_errors_total",
                     "Connections killed for protocol violations.",
@@ -366,7 +368,6 @@ server::connection::~connection() {
 server::server(svc::service& service, server_config config)
     : service_(service), config_(std::move(config)) {
   ELECT_CHECK(config_.executors >= 1);
-  ELECT_CHECK(config_.max_waiters >= 1);
   ELECT_CHECK(config_.max_inflight_per_connection >= 1);
 
   const int n = resolve_reactor_count(config_.reactors);
@@ -512,21 +513,21 @@ server::~server() { stop(); }
 
 void server::stop() {
   if (stopping_.exchange(true)) return;
+  // Reactor teardown finishes every connection: parked acquires are
+  // taken back (answered `rejected`), queued work finds it closed.
   for (auto& re : reactors_) {
     if (re->thread.joinable()) {
       wake(*re);
       re->thread.join();
     }
   }
-  // Reactor teardown finished every connection, so queued work and
-  // parked waiters now see closed connections and drain fast.
-  queue_cv_.notify_all();
+  {
+    const std::lock_guard<std::mutex> lock(queue_->mutex);
+    queue_->closed = true;
+  }
+  queue_->cv.notify_all();
   for (auto& t : executors_) {
     if (t.joinable()) t.join();
-  }
-  {
-    std::unique_lock<std::mutex> lock(waiter_mutex_);
-    waiter_cv_.wait(lock, [this] { return active_waiters_ == 0; });
   }
   for (auto& re : reactors_) {
     {
@@ -554,8 +555,7 @@ void server::reactor_main(reactor& r) {
   current_reactor_tls = &r;
   epoll_event events[64];
   while (!stopping_.load(std::memory_order_relaxed)) {
-    const int ready =
-        ::epoll_wait(r.epoll_fd, events, 64, next_stall_timeout_ms(r));
+    const int ready = ::epoll_wait(r.epoll_fd, events, 64, next_timer_ms(r));
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
@@ -591,7 +591,7 @@ void server::reactor_main(reactor& r) {
       }
       if (r.index == 0 && http_conns_.count(fd) != 0) http_read_ready(r, fd);
     }
-    fire_stalls(r);
+    fire_timers(r);
   }
   // Teardown: finish every connection (disconnect-on-close included)
   // while the map still owns them, and close sockets dealt to us that
@@ -663,16 +663,7 @@ void server::accept_ready(reactor& r) {
       adopt_connection(r, fd);
       continue;
     }
-    bool kick = false;
-    {
-      const std::lock_guard<std::mutex> lock(target.inbox_mutex);
-      target.adopt_inbox.push_back(fd);
-      if (!target.wake_pending) {
-        target.wake_pending = true;
-        kick = true;
-      }
-    }
-    if (kick) wake(target);
+    post(target, [&] { target.adopt_inbox.push_back(fd); });
   }
 }
 
@@ -732,7 +723,7 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
     // Decode everything this bite completed. Dead connections still
     // parse: requests already received alongside an EOF are served (the
     // client pipelined then closed; its last responses are moot, but a
-    // won lease must be reclaimed — see serve/serve_blocking).
+    // won lease must be reclaimed — see serve/serve_acquire).
     while (auto frame = conn->reader.next()) {
       counters_.frames_in.fetch_add(1, std::memory_order_relaxed);
       auto req = wire::decode_request(*frame);
@@ -760,31 +751,40 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
       counters_.requests.fetch_add(1, std::memory_order_relaxed);
       r.requests.fetch_add(1, std::memory_order_relaxed);
       conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-      if (req->kind == wire::op::acquire ||
+      if (req->kind == wire::op::try_acquire ||
+          req->kind == wire::op::acquire ||
           req->kind == wire::op::try_acquire_for) {
-        dispatch(conn, std::move(*req));  // waiter spawn / busy
+        auto op = std::make_shared<acquire_op>();
+        op->conn = conn;
+        op->deadline = std::chrono::steady_clock::time_point::max();
+        if (req->kind == wire::op::try_acquire_for) {
+          // Untrusted: clamp into milliseconds' range before the clock.
+          op->deadline = svc::deadline_after(std::chrono::milliseconds(
+              static_cast<std::int64_t>(std::min<std::uint64_t>(
+                  req->timeout_ms, std::chrono::milliseconds::max().count()))));
+          arm_deadline(r, op);
+        }
+        op->req = std::move(*req);
+        batch.push_back(pending{conn, {}, std::move(op)});
       } else {
-        batch.push_back(pending{conn, std::move(*req)});
+        batch.push_back(pending{conn, std::move(*req), nullptr});
       }
     }
     if (drained) break;
     // At the cap: stop reading; maybe_pause below parks the socket.
-    if (conn->in_flight.load(std::memory_order_acquire) >=
-        config_.max_inflight_per_connection) {
-      break;
-    }
+    if (budgeted(*conn) >= config_.max_inflight_per_connection) break;
   }
 
   if (!batch.empty()) {
     counters_.dispatch_batches.fetch_add(1, std::memory_order_relaxed);
     {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
-      for (auto& p : batch) queue_.push_back(std::move(p));
+      const std::lock_guard<std::mutex> lock(queue_->mutex);
+      for (auto& p : batch) queue_->items.push_back(std::move(p));
     }
     if (batch.size() > 1) {
-      queue_cv_.notify_all();
+      queue_->cv.notify_all();
     } else {
-      queue_cv_.notify_one();
+      queue_->cv.notify_one();
     }
   }
 
@@ -793,37 +793,6 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
   } else {
     maybe_pause(r, conn);
   }
-}
-
-// Blocking ops only: spawn a bounded waiter thread, or answer busy.
-void server::dispatch(const connection_ptr& conn, wire::request req) {
-  {
-    const std::lock_guard<std::mutex> lock(waiter_mutex_);
-    if (active_waiters_ < config_.max_waiters &&
-        !stopping_.load(std::memory_order_relaxed)) {
-      ++active_waiters_;
-      pending p{conn, std::move(req)};
-      // Detached, but stop() blocks on active_waiters_ reaching zero,
-      // so no waiter outlives the server.
-      std::thread([this, p = std::move(p)] {
-        serve_blocking(p);
-        // Notify under the mutex: stop() waits on this cv with the
-        // same mutex and destroys it right after the count hits zero,
-        // so a notify outside the lock could land on a dead cv.
-        const std::lock_guard<std::mutex> inner(waiter_mutex_);
-        --active_waiters_;
-        waiter_cv_.notify_all();
-      }).detach();
-      return;
-    }
-  }
-  counters_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
-  wire::response busy;
-  busy.id = req.id;
-  busy.kind = req.kind;
-  busy.result = wire::status::busy;
-  send_response(conn, busy);
-  complete(conn);
 }
 
 void server::handle_handshake(const connection_ptr& conn,
@@ -863,17 +832,25 @@ void server::protocol_error(const connection_ptr& conn,
 // ---------------------------------------------------------------------
 // Request execution.
 
+void server::work_queue::push(pending p) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (closed) return;
+    items.push_back(std::move(p));
+  }
+  cv.notify_one();
+}
+
 void server::executor_main() {
+  work_queue& q = *queue_;
   for (;;) {
     pending p;
     {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_relaxed) || !queue_.empty();
-      });
-      if (queue_.empty()) return;  // stopping and drained
-      p = std::move(queue_.front());
-      queue_.pop_front();
+      std::unique_lock<std::mutex> lock(q.mutex);
+      q.cv.wait(lock, [&q] { return q.closed || !q.items.empty(); });
+      if (q.items.empty()) return;  // closed and drained
+      p = std::move(q.items.front());
+      q.items.pop_front();
     }
     serve(p);
   }
@@ -905,6 +882,10 @@ wire::response server::acquire_response(const wire::request& req,
 }
 
 void server::serve(const pending& p) {
+  if (p.acquire) {
+    serve_acquire(p.acquire);
+    return;
+  }
   svc::service::session& session = *p.conn->session;
   const wire::request& req = p.req;
   // The v3 frame carried the client's trace id: serve under it so the
@@ -925,7 +906,6 @@ void server::serve(const pending& p) {
         send_response(p.conn, config_.cluster.peer(req));
         complete(p.conn);
         return;
-      case wire::op::try_acquire:
       case wire::op::release:
       case wire::op::release_fenced:
       case wire::op::renew:
@@ -947,25 +927,6 @@ void server::serve(const pending& p) {
     }
   }
   switch (req.kind) {
-    case wire::op::try_acquire: {
-      const svc::acquire_result result = session.try_acquire(req.key);
-      if (result.won &&
-          p.conn->closed.load(std::memory_order_relaxed)) {
-        // The request rode in alongside the connection's EOF (or the
-        // close raced us): disconnect-on-close already ran, so this
-        // fresh win has nobody behind it — hand it straight back
-        // instead of orphaning the key. The shard mutex orders the
-        // win against finish_connection's reclaim scan, so a win
-        // the scan could not see always observes closed here.
-        (void)session.reclaim(req.key, result.epoch);
-        counters_.disconnect_reclaims.fetch_add(1,
-                                                std::memory_order_relaxed);
-        complete(p.conn);
-        return;
-      }
-      r = acquire_response(req, result);
-      break;
-    }
     case wire::op::release:
       r.result = wire::from_lease_status(session.release(req.key));
       break;
@@ -1283,90 +1244,91 @@ void server::serve_admin(const pending& p, wire::response& r) {
   }
 }
 
-void server::serve_blocking(const pending& p) {
-  svc::service::session& session = *p.conn->session;
-  const obs::trace_scope trace(p.req.trace_id);
-  const serve_trace timing(p.req.trace_id, p.req.kind);
-  const auto not_primary = [&] {
-    return config_.cluster.enabled() && !config_.cluster.is_primary();
-  };
-  if (not_primary()) {
-    wire::response redirect;
-    redirect.id = p.req.id;
-    redirect.kind = p.req.kind;
-    redirect.result = wire::status::not_primary;
-    redirect.body = config_.cluster.primary_hint();
-    send_response(p.conn, redirect);
-    complete(p.conn);
-    return;
+// ---------------------------------------------------------------------
+// Blocking acquires: an attempt per executor visit, parked in between.
+
+void server::serve_acquire(const acquire_ptr& op) {
+  connection& conn = *op->conn;
+  const wire::request& req = op->req;
+  const obs::trace_scope trace(req.trace_id);
+  {
+    const std::lock_guard<std::mutex> lock(conn.park_mutex);
+    // Woken: the registry already dropped the waiter entry.
+    if (op->park_id != 0) conn.parked_ops.erase(std::exchange(op->park_id, 0));
+    if (req.trace_id != 0) {
+      const std::uint64_t now = obs::now_ns();
+      if (op->serve_start_ns == 0) op->serve_start_ns = now;
+      if (op->parked_ns != 0) {
+        obs::record_for(req.trace_id, obs::phase::epoch_wait,
+                        std::exchange(op->parked_ns, 0), now);
+      }
+    }
   }
-  const bool bounded = p.req.kind == wire::op::try_acquire_for;
-  const auto slice = std::chrono::milliseconds(
-      std::max<std::uint64_t>(1, config_.blocking_slice_ms));
-  // The wire value is untrusted: clamp before it meets the clock, or a
-  // huge timeout overflows the nanosecond rep (UB) / wraps the deadline
-  // into the past. A day is indistinguishable from forever here.
-  const auto timeout = std::chrono::milliseconds(
-      std::min<std::uint64_t>(p.req.timeout_ms, 86'400'000ull));
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  svc::acquire_result result;
-  bool abandoned = false;
   for (;;) {
-    // Sleep in bounded slices: each wakeup re-checks for server stop and
-    // connection death, so no waiter thread outlives either by more than
-    // one slice. A won slice attempt is a real win; a timed-out slice
-    // just loops.
-    auto wait = slice;
-    if (bounded) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      wait = std::clamp(left, std::chrono::milliseconds(0), slice);
-    }
-    result = session.try_acquire_for(p.req.key, wait);
-    if (result.won || result.rejected) break;
-    if (bounded && std::chrono::steady_clock::now() >= deadline) {
-      result.timed_out = true;
-      break;
-    }
-    if (p.conn->closed.load(std::memory_order_relaxed)) {
-      abandoned = true;
-      break;
-    }
-    if (stopping_.load(std::memory_order_relaxed)) {
-      result = svc::acquire_result{};
-      result.rejected = true;
-      break;
-    }
-    if (not_primary()) {
-      // Deposed mid-wait: the waiter cannot win here any more (the
-      // commit gate fails every new grant); tell the client where to
-      // re-queue instead of letting it park against a follower.
-      wire::response redirect;
-      redirect.id = p.req.id;
-      redirect.kind = p.req.kind;
+    if (config_.cluster.enabled() && !config_.cluster.is_primary()) {
+      // Deposed (a step-down wakes every parked op into this check).
+      wire::response redirect = acquire_response(req, {});
       redirect.result = wire::status::not_primary;
       redirect.body = config_.cluster.primary_hint();
-      send_response(p.conn, redirect);
-      complete(p.conn);
+      finish(op, &redirect);
       return;
     }
-  }
-  if (result.won &&
-      (abandoned || p.conn->closed.load(std::memory_order_relaxed))) {
-    // The client died while its acquire was in flight; nobody is behind
-    // the lease, so hand it straight back instead of wedging the key
-    // until the TTL.
-    (void)session.reclaim(p.req.key, result.epoch);
-    counters_.disconnect_reclaims.fetch_add(1, std::memory_order_relaxed);
-    complete(p.conn);
+    svc::acquire_result result = conn.session->try_acquire(req.key);
+    if (result.won && conn.closed.load(std::memory_order_relaxed)) {
+      // The request rode in alongside the connection's EOF, or the
+      // client died while it ran: disconnect-on-close already ran, so
+      // nobody is behind this win — hand it straight back instead of
+      // orphaning the key. The shard mutex orders the win against
+      // finish_connection's reclaim scan, so a win the scan could not
+      // see always observes closed here.
+      (void)conn.session->reclaim(req.key, result.epoch);
+      counters_.disconnect_reclaims.fetch_add(1, std::memory_order_relaxed);
+      finish(op, nullptr);
+      return;
+    }
+    if (!result.won && !result.rejected && req.kind != wire::op::try_acquire) {
+      std::unique_lock<std::mutex> lock(conn.park_mutex);
+      result.timed_out = std::chrono::steady_clock::now() >= op->deadline;
+      // Teardown sets `closed` under this lock once it took the parked
+      // ops back: nothing may park after it (the answer below is lost).
+      if (!result.timed_out && !conn.closed.load(std::memory_order_relaxed)) {
+        // The wake only re-queues (it may run under repl::node's mutex),
+        // into a queue that outlives the server.
+        conn.parked.fetch_add(1, std::memory_order_acq_rel);
+        op->park_id = service_.registry().park(
+            req.key, result.epoch, [queue = queue_, op] {
+              op->conn->parked.fetch_sub(1, std::memory_order_acq_rel);
+              queue->push(pending{op->conn, {}, op});
+            });
+        if (op->park_id == 0) {  // the epoch moved meanwhile: retry
+          conn.parked.fetch_sub(1, std::memory_order_acq_rel);
+          continue;
+        }
+        op->lost_epoch = result.epoch;
+        if (req.trace_id != 0) op->parked_ns = obs::now_ns();
+        conn.parked_ops.emplace(op->park_id, op);
+        lock.unlock();
+        maybe_resume(op->conn);  // a parked op holds no read budget
+        return;
+      }
+    }
+    const wire::response r = acquire_response(req, result);
+    finish(op, &r);
     return;
   }
-  if (abandoned) {
-    complete(p.conn);
-    return;
+}
+
+void server::finish(const acquire_ptr& op, const wire::response* r) {
+  const std::uint64_t trace = op->req.trace_id;
+  if (trace != 0 && op->parked_ns != 0) {  // answered while parked
+    obs::record_for(trace, obs::phase::epoch_wait, op->parked_ns,
+                    obs::now_ns());
   }
-  send_response(p.conn, acquire_response(p.req, result));
-  complete(p.conn);
+  if (r != nullptr) {
+    send_response(op->conn, *r);
+    if (trace != 0) record_serve(trace, op->req.kind, op->serve_start_ns);
+  }
+  complete(op->conn);
 }
 
 // ---------------------------------------------------------------------
@@ -1414,21 +1376,26 @@ void server::send_response(const connection_ptr& conn,
   }
 }
 
-void server::post_flush(reactor& r, const connection_ptr& conn) {
-  if (current_reactor_tls == &r) {
-    flush_connection(r, conn);
-    return;
-  }
+template <typename Add>
+void server::post(reactor& r, Add add) {
   bool kick = false;
   {
     const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    r.flush_inbox.push_back(conn);
+    add();
     if (!r.wake_pending) {
       r.wake_pending = true;
       kick = true;
     }
   }
   if (kick) wake(r);
+}
+
+void server::post_flush(reactor& r, const connection_ptr& conn) {
+  if (current_reactor_tls == &r) {
+    flush_connection(r, conn);
+    return;
+  }
+  post(r, [&] { r.flush_inbox.push_back(conn); });
 }
 
 void server::post_flush_batch(reactor& r, std::vector<connection_ptr> conns) {
@@ -1436,16 +1403,9 @@ void server::post_flush_batch(reactor& r, std::vector<connection_ptr> conns) {
     for (const auto& conn : conns) flush_connection(r, conn);
     return;
   }
-  bool kick = false;
-  {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
+  post(r, [&] {
     for (auto& conn : conns) r.flush_inbox.push_back(std::move(conn));
-    if (!r.wake_pending) {
-      r.wake_pending = true;
-      kick = true;
-    }
-  }
-  if (kick) wake(r);
+  });
 }
 
 void server::post_resume(reactor& r, const connection_ptr& conn) {
@@ -1453,16 +1413,19 @@ void server::post_resume(reactor& r, const connection_ptr& conn) {
     handle_resume(r, conn);
     return;
   }
-  bool kick = false;
-  {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    r.resume_inbox.push_back(conn);
-    if (!r.wake_pending) {
-      r.wake_pending = true;
-      kick = true;
-    }
+  post(r, [&] { r.resume_inbox.push_back(conn); });
+}
+
+void server::arm_deadline(reactor& r, const acquire_ptr& op) {
+  // Entries of ops that finished early linger until their deadline;
+  // sweep them whenever the wheel has doubled since the last sweep.
+  if (r.timers.size() >= r.timers_sweep_at) {
+    std::erase_if(r.timers, [](const auto& entry) {
+      return entry.second.fd < 0 && entry.second.op.expired();
+    });
+    r.timers_sweep_at = std::max<std::size_t>(64, 2 * r.timers.size());
   }
-  if (kick) wake(r);
+  r.timers.emplace(op->deadline, timer{-1, op});
 }
 
 std::pair<std::uint64_t, std::uint64_t> server::pop_written(
@@ -1527,11 +1490,11 @@ void server::flush_connection(reactor& r, const connection_ptr& conn) {
           rearm(r, conn);
         }
         if (!conn->stall_armed) {
-          // Start the no-progress clock; fire_stalls kills the
+          // Start the no-progress clock; fire_timers kills the
           // connection if a full budget passes without a byte moving.
           conn->stall_armed = true;
           conn->stall_since = std::chrono::steady_clock::now();
-          r.stall_wheel.emplace(conn->stall_since + budget, conn->fd);
+          r.timers.emplace(conn->stall_since + budget, timer{conn->fd, {}});
         }
         // flush_queued stays set: EPOLLOUT resumes this drain, and
         // appenders need not post meanwhile.
@@ -1564,15 +1527,36 @@ void server::flush_connection(reactor& r, const connection_ptr& conn) {
   if (flushed > 0) r.drain_batches.fetch_add(1, std::memory_order_relaxed);
 }
 
-void server::fire_stalls(reactor& r) {
-  if (r.stall_wheel.empty()) return;
+void server::fire_timers(reactor& r) {
+  if (r.timers.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   const auto budget = std::chrono::milliseconds(
       std::max<std::uint64_t>(1, config_.event_write_budget_ms));
-  while (!r.stall_wheel.empty() && r.stall_wheel.begin()->first <= now) {
-    const int fd = r.stall_wheel.begin()->second;
-    r.stall_wheel.erase(r.stall_wheel.begin());
-    const auto it = r.connections.find(fd);
+  while (!r.timers.empty() && r.timers.begin()->first <= now) {
+    const timer due = std::move(r.timers.begin()->second);
+    r.timers.erase(r.timers.begin());
+    if (due.fd < 0) {
+      // A try_acquire_for's deadline: answer it timed_out if it is still
+      // parked; otherwise the executor holding it (or about to, once its
+      // wake lands) checks the deadline before parking again.
+      const acquire_ptr op = due.op.lock();
+      if (op == nullptr) continue;
+      {
+        const std::lock_guard<std::mutex> lock(op->conn->park_mutex);
+        if (op->park_id == 0 || !service_.registry().unpark(op->park_id)) {
+          continue;
+        }
+        op->conn->parked_ops.erase(std::exchange(op->park_id, 0));
+      }
+      op->conn->parked.fetch_sub(1, std::memory_order_acq_rel);
+      svc::acquire_result timed_out;
+      timed_out.epoch = op->lost_epoch;
+      timed_out.timed_out = true;
+      const wire::response answer = acquire_response(op->req, timed_out);
+      finish(op, &answer);
+      continue;
+    }
+    const auto it = r.connections.find(due.fd);
     if (it == r.connections.end()) continue;  // already finished
     const connection_ptr conn = it->second;
     // An entry is current only if its deadline matches the live arm
@@ -1586,10 +1570,10 @@ void server::fire_stalls(reactor& r) {
   }
 }
 
-int server::next_stall_timeout_ms(reactor& r) const {
-  if (r.stall_wheel.empty()) return -1;
+int server::next_timer_ms(reactor& r) const {
+  if (r.timers.empty()) return -1;
   const auto now = std::chrono::steady_clock::now();
-  const auto first = r.stall_wheel.begin()->first;
+  const auto first = r.timers.begin()->first;
   if (first <= now) return 0;
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(first - now)
@@ -1612,20 +1596,29 @@ void server::rearm(reactor& r, const connection_ptr& conn) {
   (void)::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
+int server::budgeted(const connection& conn) const {
+  return conn.in_flight.load(std::memory_order_acquire) -
+         std::min(conn.parked.load(std::memory_order_acquire),
+                  config_.max_watches_per_connection);
+}
+
 void server::complete(const connection_ptr& conn) {
   conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  bool post = false;
+  maybe_resume(conn);
+}
+
+void server::maybe_resume(const connection_ptr& conn) {
+  bool resume = false;
   {
     const std::lock_guard<std::mutex> lock(conn->pause_mutex);
     if (conn->paused && !conn->resume_queued &&
         !conn->closed.load(std::memory_order_relaxed) &&
-        conn->in_flight.load(std::memory_order_acquire) <=
-            config_.max_inflight_per_connection / 2) {
+        budgeted(*conn) <= config_.max_inflight_per_connection / 2) {
       conn->resume_queued = true;
-      post = true;
+      resume = true;
     }
   }
-  if (post) post_resume(conn->owner, conn);
+  if (resume) post_resume(conn->owner, conn);
 }
 
 void server::maybe_pause(reactor& r, const connection_ptr& conn) {
@@ -1633,10 +1626,7 @@ void server::maybe_pause(reactor& r, const connection_ptr& conn) {
   {
     const std::lock_guard<std::mutex> lock(conn->pause_mutex);
     if (conn->paused || conn->closed.load(std::memory_order_relaxed)) return;
-    if (conn->in_flight.load(std::memory_order_acquire) <
-        config_.max_inflight_per_connection) {
-      return;
-    }
+    if (budgeted(*conn) < config_.max_inflight_per_connection) return;
     conn->paused = true;
     paused_now = true;
   }
@@ -1652,8 +1642,7 @@ void server::handle_resume(reactor& r, const connection_ptr& conn) {
     const std::lock_guard<std::mutex> lock(conn->pause_mutex);
     conn->resume_queued = false;
     if (!conn->paused || conn->closed.load(std::memory_order_relaxed)) return;
-    if (conn->in_flight.load(std::memory_order_acquire) >
-        config_.max_inflight_per_connection / 2) {
+    if (budgeted(*conn) > config_.max_inflight_per_connection / 2) {
       // Filled back up since the post; a later complete() re-posts.
       return;
     }
@@ -1673,7 +1662,25 @@ void server::start_close(const connection_ptr& conn) {
 
 void server::finish_connection(reactor& r, const connection_ptr& conn) {
   if (r.connections.erase(conn->fd) == 0) return;  // already finished
-  const bool was_closed = conn->closed.exchange(true);
+  bool was_closed = false;
+  {
+    // Take parked acquires back, answered `rejected` on stop (a dead peer
+    // needs none); `closed` is set under the same lock, so nothing parks
+    // after.
+    const std::lock_guard<std::mutex> lock(conn->park_mutex);
+    for (const auto& [id, op] : conn->parked_ops) {
+      // Failed: its wake re-queued it, and the executor finds `closed`.
+      if (!service_.registry().unpark(id)) continue;
+      op->park_id = 0;
+      conn->parked.fetch_sub(1, std::memory_order_acq_rel);
+      svc::acquire_result rejected;
+      rejected.rejected = true;
+      const wire::response answer = acquire_response(op->req, rejected);
+      finish(op, stopping_.load(std::memory_order_relaxed) ? &answer : nullptr);
+    }
+    conn->parked_ops.clear();
+    was_closed = conn->closed.exchange(true);
+  }
   if (!was_closed) {
     // Final opportunistic flush: a one-shot refusal (bad hello, oversize
     // frame) must still reach the peer, and responses a clean
@@ -1757,7 +1764,7 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
     // The disconnect-on-close hook: whatever the remote client held is
     // reclaimed NOW — its rivals re-elect immediately instead of
     // waiting out the lease TTL. In-flight wins for this connection are
-    // reclaimed by their waiters (see serve_blocking). Each reclaimed
+    // reclaimed by their executors (see serve/serve_acquire). Each reclaimed
     // key's disconnect_reclaimed command carries its real epoch, so the
     // event journal names every key with no pre-scan of held keys.
     const std::size_t reclaimed = conn->session->reclaim_all();

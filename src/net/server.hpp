@@ -1,8 +1,9 @@
 // elect::net::server — the TCP front-end of the election service.
 //
 // The edge is N per-core reactors, not one epoll loop. Each reactor
-// owns an epoll fd, an eventfd wakeup, a timer wheel for slow-consumer
-// deadlines, its own accept socket (SO_REUSEPORT sharded accept — the
+// owns an epoll fd, an eventfd wakeup, a timer wheel (slow-consumer
+// budgets and try_acquire_for deadlines), its own accept socket
+// (SO_REUSEPORT sharded accept — the
 // kernel spreads incoming connections across the listeners), and a
 // private connection table. A connection is pinned to the reactor that
 // accepted it for its whole lifetime, so per-connection read state
@@ -14,15 +15,14 @@
 // Reads: a readable socket is drained to EAGAIN in bounded bites and
 // *all* complete frames are decoded before anything is dispatched
 // (request batching: one syscall burst, one queue lock, many
-// requests), then:
-//
-//   * non-blocking ops (try_acquire, release, renew, disconnect,
-//     metrics) go to a small executor pool — they only ever take shard
-//     locks and pool round-trips, never park;
-//   * blocking ops (acquire, try_acquire_for) each get a waiter thread,
-//     bounded by `max_waiters`; past the cap the server answers `busy`
-//     instead of queueing a request behind threads that may sleep for
-//     minutes.
+// requests) to a small executor pool. Every op takes that one path.
+// The blocking ops (acquire, try_acquire_for) never block an executor
+// on a held key: an attempt that loses parks the request on the key's
+// epoch in the registry (registry::park) and frees the executor; the
+// epoch's next move re-queues it for another attempt. A parked request
+// costs a waiter entry, no thread. try_acquire_for deadlines fire from
+// the owning reactor's timer wheel; connection close and stop() take
+// parked requests back out of the registry.
 //
 // Writes: responses are never written by the thread that produced
 // them. Every encoded frame lands in the connection's output ring (a
@@ -49,9 +49,12 @@
 //
 // Backpressure is per connection: at `max_inflight_per_connection`
 // outstanding requests the reactor stops *reading* that socket (drops
-// EPOLLIN) until completions drain below half the cap. The output ring
-// is bounded too (`max_outbox_bytes`): a consumer that never drains
-// loses the connection rather than growing the ring without bound.
+// EPOLLIN) until completions drain below half the cap. Parked acquires
+// do not count (up to `max_watches_per_connection` of them), so a
+// release can always be read past acquires parked behind it on the
+// same connection. The output ring is bounded too (`max_outbox_bytes`):
+// a consumer that never drains loses the connection rather than
+// growing the ring without bound.
 #pragma once
 
 #include <atomic>
@@ -103,22 +106,19 @@ struct server_config {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with server::port().
   std::uint16_t port = 0;
-  /// Threads serving non-blocking ops.
+  /// Threads serving requests.
   int executors = 4;
-  /// Concurrent blocking ops (acquire / try_acquire_for) server-wide;
-  /// past this the server answers wire::status::busy.
-  int max_waiters = 256;
   /// Outstanding requests per connection before the server stops
-  /// reading that socket.
+  /// reading that socket. Parked acquires are not counted.
   int max_inflight_per_connection = 64;
   /// Accepted connections beyond this are closed immediately.
   int max_connections = 1024;
-  /// Granularity at which parked blocking ops re-check for server stop
-  /// and connection death.
-  std::uint64_t blocking_slice_ms = 50;
   /// Watch subscriptions one connection may hold; past the cap a watch
-  /// op answers `busy` (resource exhaustion, same family as the waiter
-  /// cap — not a protocol violation).
+  /// op answers `busy` (resource exhaustion, not a protocol violation).
+  /// A parked acquire is a one-shot subscription to its key's next
+  /// epoch: up to this many per connection are parked outside the
+  /// read budget, and beyond it they count toward
+  /// max_inflight_per_connection again.
   int max_watches_per_connection = 1024;
   /// How long a connection's output ring may sit unflushable (socket
   /// full, no progress) before the reactor declares the consumer dead.
@@ -182,6 +182,7 @@ struct net_report {
   /// batches is the realized batching factor.
   std::uint64_t dispatch_batches = 0;
   std::uint64_t backpressure_pauses = 0;
+  /// Watch ops refused at the per-connection watch cap.
   std::uint64_t busy_rejections = 0;
   std::uint64_t protocol_errors = 0;
   /// Leases force-released because their connection closed (the
@@ -254,6 +255,7 @@ class server {
 
  private:
   struct reactor;
+  struct acquire_op;
 
   /// One encoded frame queued for a connection. The buffer is shared
   /// and immutable so the watch fast lane can hand the SAME encoded
@@ -293,8 +295,16 @@ class server {
     bool stall_armed = false;     // timer-wheel entry live
     std::chrono::steady_clock::time_point stall_since{};
 
-    /// Outstanding dispatched requests; drives backpressure.
+    /// Outstanding dispatched requests, and how many of them are parked
+    /// acquires; the difference drives backpressure (see budgeted()).
     std::atomic<int> in_flight{0};
+    std::atomic<int> parked{0};
+    /// Parked acquires by registry waiter id, so teardown can take them
+    /// back. park_mutex also orders a park against the op's deadline
+    /// timer and against teardown (which sets `closed` under it).
+    std::mutex park_mutex;
+    std::unordered_map<std::uint64_t, std::shared_ptr<acquire_op>>
+        parked_ops;
     /// Guards paused/resume_queued and orders pause/resume against
     /// in_flight so a completion draining to zero can never race the
     /// reactor into a permanently paused socket.
@@ -312,6 +322,34 @@ class server {
   };
   using connection_ptr = std::shared_ptr<connection>;
 
+  /// An acquire-family request (try_acquire, acquire, try_acquire_for)
+  /// from its first dispatch to its response. Each attempt runs on an
+  /// executor; between attempts a blocking op is parked in the registry
+  /// on the epoch it lost, and the epoch's next move re-queues it.
+  struct acquire_op {
+    connection_ptr conn;
+    wire::request req;
+    /// try_acquire_for's deadline; time_point::max() for acquire.
+    std::chrono::steady_clock::time_point deadline;
+    /// Traced requests: the serve span's start (first executor pickup).
+    std::uint64_t serve_start_ns = 0;
+    // Guarded by conn->park_mutex.
+    /// Registry waiter id while parked; 0 once an executor holds it.
+    std::uint64_t park_id = 0;
+    /// The epoch the last attempt lost (a timed_out answer's epoch).
+    std::uint64_t lost_epoch = 0;
+    /// Traced requests: when the op last parked (epoch_wait span start).
+    std::uint64_t parked_ns = 0;
+  };
+  using acquire_ptr = std::shared_ptr<acquire_op>;
+
+  /// One timer-wheel entry: an output-stall budget (fd) or a
+  /// try_acquire_for deadline (op; fd < 0).
+  struct timer {
+    int fd = -1;
+    std::weak_ptr<acquire_op> op;
+  };
+
   /// One per-core event loop: epoll + eventfd + (maybe) its own
   /// listener + timer wheel + private connection table + inbox for
   /// cross-thread work. Everything epoll_ctl happens on this thread.
@@ -327,8 +365,10 @@ class server {
 
     /// Reactor-thread-only.
     std::unordered_map<int, connection_ptr> connections;
-    /// Timer wheel (coarse): deadline -> fd for output-stall budgets.
-    std::multimap<std::chrono::steady_clock::time_point, int> stall_wheel;
+    /// Timer wheel (coarse): output-stall budgets and the deadlines of
+    /// this reactor's try_acquire_for requests.
+    std::multimap<std::chrono::steady_clock::time_point, timer> timers;
+    std::size_t timers_sweep_at = 64;
 
     /// Cross-thread inbox, drained on eventfd wakeup. wake_pending
     /// coalesces eventfd writes: one kick per drain, however many posts.
@@ -350,6 +390,22 @@ class server {
   struct pending {
     connection_ptr conn;
     wire::request req;
+    /// Set for the acquire family, whose request lives in the op (req
+    /// is then empty).
+    acquire_ptr acquire;
+  };
+
+  /// The executors' queue. Shared with parked acquires' wake callbacks:
+  /// a wake handed out just before teardown took its op back can run
+  /// after stop(), and finds the queue closed instead of a dead server.
+  struct work_queue {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::deque<pending> items;
+    bool closed = false;
+
+    /// Append one item (dropped once closed) and wake an executor.
+    void push(pending p);
   };
 
   /// The watch router: one hub subscription per watched key, fanned to
@@ -383,10 +439,11 @@ class server {
   /// writev the connection's output ring until drained or EAGAIN
   /// (reactor thread only).
   void flush_connection(reactor& r, const connection_ptr& conn);
-  /// Close every connection whose output stall outlived its budget.
-  void fire_stalls(reactor& r);
-  /// epoll timeout until the next stall deadline (-1 = forever).
-  [[nodiscard]] int next_stall_timeout_ms(reactor& r) const;
+  /// Fire every due timer: close connections whose output stall outlived
+  /// its budget, answer parked try_acquire_for ops timed out.
+  void fire_timers(reactor& r);
+  /// epoll timeout until the next timer (-1 = forever).
+  [[nodiscard]] int next_timer_ms(reactor& r) const;
   /// Recompute and apply the connection's epoll interest mask from
   /// (paused, want_writable). Reactor thread only.
   void rearm(reactor& r, const connection_ptr& conn);
@@ -407,13 +464,22 @@ class server {
   void post_flush_batch(reactor& r, std::vector<connection_ptr> conns);
   void post_resume(reactor& r, const connection_ptr& conn);
   void handle_resume(reactor& r, const connection_ptr& conn);
+  /// Put a try_acquire_for's deadline on r's wheel (reactor thread).
+  static void arm_deadline(reactor& r, const acquire_ptr& op);
   /// Kick r's eventfd (coalesced by wake_pending).
   void wake(reactor& r);
-  void dispatch(const connection_ptr& conn, wire::request req);
-  /// Serve one non-blocking request (executor thread).
+  /// Queue cross-thread work for r: `add` appends to one of its inbox
+  /// vectors under the inbox lock; one eventfd kick per drain.
+  template <typename Add>
+  void post(reactor& r, Add add);
+  /// Serve one request (executor thread).
   void serve(const pending& p);
-  /// Serve one blocking acquire-family request (waiter thread).
-  void serve_blocking(const pending& p);
+  /// One attempt of an acquire-family op (executor thread): answer it,
+  /// or park it on the epoch it lost.
+  void serve_acquire(const acquire_ptr& op);
+  /// The op's final answer (`r` null: nobody to answer — the connection
+  /// closed): traced spans, the frame, the in-flight slot.
+  void finish(const acquire_ptr& op, const wire::response* r);
   /// Build the response for a decided acquire attempt.
   [[nodiscard]] static wire::response acquire_response(
       const wire::request& req, const svc::acquire_result& result);
@@ -435,11 +501,18 @@ class server {
   void http_close(reactor& r, int fd);
   void http_respond(int fd, const std::string& buffered);
   void complete(const connection_ptr& conn);
+  /// Post a resume if the connection is paused and its budget drained.
+  void maybe_resume(const connection_ptr& conn);
   void maybe_pause(reactor& r, const connection_ptr& conn);
+  /// Requests holding a slot of the connection's read budget: every
+  /// outstanding request but its parked acquires (at most
+  /// max_watches_per_connection of those are discounted).
+  [[nodiscard]] int budgeted(const connection& conn) const;
   /// Initiate teardown from any thread: shutdown() the socket so the
   /// owning reactor sees it and runs finish_connection exactly once.
   void start_close(const connection_ptr& conn);
-  /// Reactor-thread-only: final opportunistic flush (a bad_request
+  /// Reactor-thread-only: take parked acquires back (answered
+  /// `rejected` on stop), final opportunistic flush (a bad_request
   /// refusal must still reach the peer), unregister, cancel watches,
   /// disconnect the session (the lease-reclaim hook), drop from the
   /// map.
@@ -471,15 +544,7 @@ class server {
 
   std::atomic<std::uint64_t> next_connection_id_{1};
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<pending> queue_;
-
-  /// Waiter-thread accounting: spawn-if-below-cap, and stop() blocks
-  /// until the last waiter (they run detached) has finished.
-  std::mutex waiter_mutex_;
-  std::condition_variable waiter_cv_;
-  int active_waiters_ = 0;
+  std::shared_ptr<work_queue> queue_ = std::make_shared<work_queue>();
 
   /// Watch router state. Lock order: router_mutex_ before any
   /// connection's out_mutex (fanout path); hub calls (service_.watch /

@@ -370,6 +370,10 @@ void node::step_down_locked(std::uint64_t new_term) {
     // Followers never expire leases locally — expiry is a mutation and
     // only the primary may originate mutations into the log.
     service_.set_sweeper_suspended(true);
+    // Parked acquirers re-check too: a follower's epochs will not move
+    // for them, so they must go answer not_primary. The wakes only
+    // hand off (they run under mu_ here).
+    service_.registry().wake_all();
   }
   reset_election_deadline_locked();
   // Gate waiters must bail: a deposed primary cannot ack anything.

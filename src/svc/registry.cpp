@@ -352,42 +352,55 @@ std::optional<cmd::command> instance_registry::fence_after_end_locked(
   return c;
 }
 
-lease_status instance_registry::end_epoch_fenced(const std::string& key,
-                                                 int session,
-                                                 std::uint64_t epoch,
-                                                 cmd::command_kind kind) {
+template <typename Refuse>
+lease_status instance_registry::end_epoch(const std::string& key,
+                                          cmd::command_kind kind,
+                                          Refuse refuse) {
   const int shard_index = shard_of(key);
   shard& s = *shards_[static_cast<std::size_t>(shard_index)];
   cmd::command c;
   bool publish = false;
   std::optional<cmd::command> fenced;
+  wake_list wakes;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
     const auto it = s.keys.find(key);
-    if (it == s.keys.end()) {
-      // A never-acquired key sits at epoch 0 implicitly: presenting
-      // epoch 0 is *current* but holds nothing (not_leader), anything
-      // higher is genuinely stale. Keeps the fenced verdicts meaning
-      // one thing on every path: stale_epoch <=> the epoch moved on.
-      return epoch == 0 ? lease_status::not_leader
-                        : lease_status::stale_epoch;
-    }
-    if (it->second.entry.epoch != epoch) return lease_status::stale_epoch;
-    if (it->second.leader != session) return lease_status::not_leader;
+    const lease_status verdict =
+        refuse(it == s.keys.end() ? nullptr : &it->second);
+    if (verdict != lease_status::ok) return verdict;
     c.shard = shard_index;
     c.kind = kind;
-    c.session = session;
-    c.epoch = epoch;
+    c.session = it->second.leader;
+    c.epoch = it->second.entry.epoch;
     c.at_ms = logical_now_ms();
     publish = hook_live();
     if (publish || recording_.load(std::memory_order_relaxed)) c.key = key;
     apply_command_locked(s, it->second, c, /*from_replay=*/false);
     fenced = fence_after_end_locked(s, it->second, key, shard_index, c.at_ms);
+    take_waiters_locked(s, key, wakes);
   }
-  s.epoch_changed.notify_all();
+  for (auto& wake : wakes) wake();
   if (publish) hook_(c);
   if (fenced.has_value()) hook_(*fenced);
   return lease_status::ok;
+}
+
+lease_status instance_registry::end_epoch_fenced(const std::string& key,
+                                                 int session,
+                                                 std::uint64_t epoch,
+                                                 cmd::command_kind kind) {
+  return end_epoch(key, kind, [&](const key_state* state) {
+    // A never-acquired key sits at epoch 0 implicitly: presenting
+    // epoch 0 is *current* but holds nothing (not_leader), anything
+    // higher is genuinely stale. Keeps the fenced verdicts meaning
+    // one thing on every path: stale_epoch <=> the epoch moved on.
+    if (state == nullptr) {
+      return epoch == 0 ? lease_status::not_leader : lease_status::stale_epoch;
+    }
+    if (state->entry.epoch != epoch) return lease_status::stale_epoch;
+    if (state->leader != session) return lease_status::not_leader;
+    return lease_status::ok;
+  });
 }
 
 lease_status instance_registry::release(const std::string& key, int session,
@@ -402,31 +415,12 @@ lease_status instance_registry::reclaim(const std::string& key, int session,
 }
 
 lease_status instance_registry::release(const std::string& key, int session) {
-  const int shard_index = shard_of(key);
-  shard& s = *shards_[static_cast<std::size_t>(shard_index)];
-  cmd::command c;
-  bool publish = false;
-  std::optional<cmd::command> fenced;
-  {
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.keys.find(key);
-    if (it == s.keys.end() || it->second.leader != session) {
-      return lease_status::not_leader;
-    }
-    c.shard = shard_index;
-    c.kind = cmd::command_kind::released;
-    c.session = session;
-    c.epoch = it->second.entry.epoch;
-    c.at_ms = logical_now_ms();
-    publish = hook_live();
-    if (publish || recording_.load(std::memory_order_relaxed)) c.key = key;
-    apply_command_locked(s, it->second, c, /*from_replay=*/false);
-    fenced = fence_after_end_locked(s, it->second, key, shard_index, c.at_ms);
-  }
-  s.epoch_changed.notify_all();
-  if (publish) hook_(c);
-  if (fenced.has_value()) hook_(*fenced);
-  return lease_status::ok;
+  return end_epoch(key, cmd::command_kind::released,
+                   [session](const key_state* state) {
+                     return state != nullptr && state->leader == session
+                                ? lease_status::ok
+                                : lease_status::not_leader;
+                   });
 }
 
 lease_status instance_registry::renew(const std::string& key, int session,
@@ -465,6 +459,7 @@ std::size_t instance_registry::bump_matching(
   std::vector<cmd::command> events;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard& s = *shards_[i];
+    wake_list wakes;  // the bumped keys' waiters
     // Sampled once per shard: a watcher subscribing mid-scan may miss
     // this sweep's transitions, which the delivery bound tolerates (its
     // clock starts at subscription).
@@ -489,11 +484,12 @@ std::size_t instance_registry::bump_matching(
                 s, state, key, static_cast<std::int32_t>(i), at)) {
           events.push_back(std::move(*fenced));
         }
+        take_waiters_locked(s, key, wakes);
         ++bumped_here;
       }
     }
     if (bumped_here == 0) continue;
-    s.epoch_changed.notify_all();
+    for (auto& wake : wakes) wake();
     bumped += bumped_here;
     if (on_bumped) {
       for (std::size_t k = 0; k < bumped_here; ++k) {
@@ -574,31 +570,12 @@ std::optional<key_inspection> instance_registry::inspect(
 }
 
 lease_status instance_registry::force_release(const std::string& key) {
-  const int shard_index = shard_of(key);
-  shard& s = *shards_[static_cast<std::size_t>(shard_index)];
-  cmd::command c;
-  bool publish = false;
-  std::optional<cmd::command> fenced;
-  {
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.keys.find(key);
-    if (it == s.keys.end() || it->second.leader == -1) {
-      return lease_status::not_leader;
-    }
-    c.shard = shard_index;
-    c.kind = cmd::command_kind::force_released;
-    c.session = it->second.leader;
-    c.epoch = it->second.entry.epoch;
-    c.at_ms = logical_now_ms();
-    publish = hook_live();
-    if (publish || recording_.load(std::memory_order_relaxed)) c.key = key;
-    apply_command_locked(s, it->second, c, /*from_replay=*/false);
-    fenced = fence_after_end_locked(s, it->second, key, shard_index, c.at_ms);
-  }
-  s.epoch_changed.notify_all();
-  if (publish) hook_(c);
-  if (fenced.has_value()) hook_(*fenced);
-  return lease_status::ok;
+  return end_epoch(key, cmd::command_kind::force_released,
+                   [](const key_state* state) {
+                     return state != nullptr && state->leader != -1
+                                ? lease_status::ok
+                                : lease_status::not_leader;
+                   });
 }
 
 std::vector<std::string> instance_registry::keys_held_by(int session) const {
@@ -678,6 +655,7 @@ std::optional<std::string> instance_registry::apply(const cmd::command& c) {
   }
   shard& s = *shards_[static_cast<std::size_t>(shard_index)];
   cmd::command local = c;
+  wake_list wakes;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
     if (local.seq != 0 && s.last_seq != 0 && local.seq != s.last_seq + 1) {
@@ -724,8 +702,13 @@ std::optional<std::string> instance_registry::apply(const cmd::command& c) {
         break;
     }
     apply_command_locked(s, state, local, /*from_replay=*/true);
+    // Every kind but a grant or a renewal ends the epoch.
+    if (local.kind != cmd::command_kind::acquire_granted &&
+        local.kind != cmd::command_kind::renewed) {
+      take_waiters_locked(s, local.key, wakes);
+    }
   }
-  s.epoch_changed.notify_all();
+  for (auto& wake : wakes) wake();
   return std::nullopt;
 }
 
@@ -852,7 +835,9 @@ std::optional<std::string> instance_registry::restore(
     }
   }
   if (fence_restored) {
-    for (auto& shard_ptr : shards_) shard_ptr->epoch_changed.notify_all();
+    // Restore requires an empty registry, so every waiter is on a key
+    // this fence just moved or on one nobody ever acquired.
+    wake_all();
     for (const cmd::command& c : fenced) hook_(c);
   }
   return std::nullopt;
@@ -875,10 +860,8 @@ std::optional<std::string> instance_registry::install_snapshot(
     s.last_at_ms = 0;
   }
   const auto error = restore(bytes, /*fence_restored=*/false);
-  // Waiters re-evaluate against the installed (or cleared) state; the
-  // wait predicate re-probes the key map on every wakeup, so the clear
-  // above cannot leave one holding a dangling reference.
-  for (auto& shard_ptr : shards_) shard_ptr->epoch_changed.notify_all();
+  // Every waiter retries against the installed (or cleared) state.
+  wake_all();
   return error;
 }
 
@@ -888,6 +871,7 @@ std::size_t instance_registry::fence_all(std::uint64_t bump) {
   std::vector<cmd::command> events;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard& s = *shards_[i];
+    wake_list wakes;
     const bool publish = hook_live();
     const bool record = recording_.load(std::memory_order_relaxed);
     std::size_t fenced_here = 0;
@@ -916,11 +900,12 @@ std::size_t instance_registry::fence_all(std::uint64_t bump) {
         if (publish || record) c.key = key;
         apply_command_locked(s, state, c, /*from_replay=*/false);
         if (publish) events.push_back(std::move(c));
+        take_waiters_locked(s, key, wakes);
         ++fenced_here;
       }
     }
     if (fenced_here == 0) continue;
-    s.epoch_changed.notify_all();
+    for (auto& wake : wakes) wake();
     fenced += fenced_here;
     for (const cmd::command& c : events) hook_(c);
     events.clear();
@@ -928,56 +913,74 @@ std::size_t instance_registry::fence_all(std::uint64_t bump) {
   return fenced;
 }
 
-bool instance_registry::wait_for_epoch_above_impl(
-    const std::string& key, std::uint64_t epoch,
-    const clock::time_point* deadline) {
-  shard& s = shard_for(key);
-  std::unique_lock<std::mutex> lock(s.mutex);
-  // Re-probe the key on every wakeup rather than caching a reference:
-  // install_snapshot() clears and repopulates the key map under this
-  // same lock, so a reference resolved before the install would dangle.
-  // A never-acquired key sits at epoch 0 implicitly — waiting must not
-  // create state or burn an instance id for it.
-  //
-  // shutdown() counts as "woken" so a waiter parked across stop()
-  // retries immediately and comes back rejected instead of sleeping
-  // forever (or, timed, sleeping out its timeout).
-  const auto woken = [&] {
-    if (shutdown_.load(std::memory_order_relaxed)) return true;
-    const auto probe = s.keys.find(key);
-    if (probe == s.keys.end()) return false;  // implicit epoch 0, never > epoch
-    return probe->second.entry.epoch > epoch;
-  };
-  if (deadline == nullptr) {
-    s.epoch_changed.wait(lock, woken);
-    return true;
+void instance_registry::take_waiters_locked(shard& s, const std::string& key,
+                                            wake_list& out) {
+  if (s.waiters.empty()) return;
+  const auto it = s.waiters.find(key);
+  if (it == s.waiters.end()) return;
+  for (auto& parked : it->second) out.push_back(std::move(parked.second));
+  s.waiters.erase(it);
+}
+
+std::uint64_t instance_registry::park(const std::string& key,
+                                      std::uint64_t epoch,
+                                      std::function<void()> wake) {
+  const auto shard_index = static_cast<std::size_t>(shard_of(key));
+  shard& s = *shards_[shard_index];
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  // shutdown() sets the flag before emptying each shard under its lock.
+  if (shutdown_.load(std::memory_order_relaxed)) return 0;
+  const auto it = s.keys.find(key);  // not state_locked: no key creation
+  if (it != s.keys.end() && it->second.entry.epoch > epoch) return 0;
+  const std::uint64_t id = s.next_waiter++ * shards_.size() + shard_index;
+  s.waiters[key].emplace_back(id, std::move(wake));
+  return id;
+}
+
+bool instance_registry::unpark(std::uint64_t id) {
+  shard& s = *shards_[static_cast<std::size_t>(id % shards_.size())];
+  // Destroyed after the unlock: the wake's captures may own anything.
+  std::function<void()> dropped;
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  for (auto it = s.waiters.begin(); it != s.waiters.end(); ++it) {
+    auto& parked = it->second;
+    for (auto w = parked.begin(); w != parked.end(); ++w) {
+      if (w->first != id) continue;
+      dropped = std::move(w->second);
+      parked.erase(w);
+      if (parked.empty()) s.waiters.erase(it);
+      return true;
+    }
   }
-  // Not wait_until(time_point::max()) for the untimed path: libstdc++
-  // implements non-system-clock waits via a now()-relative delta, which
-  // overflows on max().
-  return s.epoch_changed.wait_until(lock, *deadline, woken);
+  return false;
 }
 
-void instance_registry::wait_for_epoch_above(const std::string& key,
-                                             std::uint64_t epoch) {
-  (void)wait_for_epoch_above_impl(key, epoch, /*deadline=*/nullptr);
+void instance_registry::wake_all() {
+  for (auto& shard_ptr : shards_) {
+    wake_list wakes;
+    {
+      const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+      for (auto& [key, parked] : shard_ptr->waiters) {
+        for (auto& w : parked) wakes.push_back(std::move(w.second));
+      }
+      shard_ptr->waiters.clear();
+    }
+    for (auto& wake : wakes) wake();
+  }
 }
 
-bool instance_registry::wait_for_epoch_above_until(const std::string& key,
-                                                   std::uint64_t epoch,
-                                                   clock::time_point deadline) {
-  return wait_for_epoch_above_impl(key, epoch, &deadline);
+std::size_t instance_registry::parked_count() const {
+  std::size_t total = 0;
+  for (const auto& shard_ptr : shards_) {
+    const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+    for (const auto& [key, parked] : shard_ptr->waiters) total += parked.size();
+  }
+  return total;
 }
 
 void instance_registry::shutdown() {
   shutdown_.store(true, std::memory_order_relaxed);
-  for (auto& shard_ptr : shards_) {
-    // Empty critical section: a waiter between its predicate check and
-    // its wait must observe the flag before we notify, or it would sleep
-    // through the only wakeup.
-    { const std::lock_guard<std::mutex> lock(shard_ptr->mutex); }
-    shard_ptr->epoch_changed.notify_all();
-  }
+  wake_all();
 }
 
 std::size_t instance_registry::keys_in_shard(int shard_index) const {

@@ -57,7 +57,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -262,7 +261,7 @@ class instance_registry {
 
   /// Fenced release: only the recorded winner of exactly `epoch` — which
   /// must still be the current epoch — releases. On `ok` the epoch is
-  /// bumped, a fresh election instance is allocated, and epoch waiters
+  /// bumped, a fresh election instance is allocated, and parked waiters
   /// wake. A zombie presenting a stale epoch gets `stale_epoch` and
   /// changes nothing.
   lease_status release(const std::string& key, int session,
@@ -323,29 +322,38 @@ class instance_registry {
   lease_status force_release(const std::string& key);
 
   /// Force-release every holder whose lease deadline is <= now: bump the
-  /// epoch, allocate a fresh instance, wake epoch waiters. `on_expired`
+  /// epoch, allocate a fresh instance, wake parked waiters. `on_expired`
   /// (if set) is called with the shard index once per expired key, under
   /// no lock. Returns the number of leases expired.
   std::size_t sweep_expired(clock::time_point now,
                             const std::function<void(int)>& on_expired = {});
 
-  /// Block until `key`'s epoch exceeds `epoch` (i.e. a release or expiry
-  /// happened after the caller lost that epoch's election), or until
-  /// shutdown(). A key that has never been acquired counts as epoch 0;
-  /// waiting does not create key state or burn an instance id.
-  void wait_for_epoch_above(const std::string& key, std::uint64_t epoch);
+  /// Park an acquirer that lost `epoch` of `key` until the next move of
+  /// the key's epoch, which wakes every waiter on the key. `wake` runs
+  /// once, after the mover released the shard lock but possibly under
+  /// its own locks (repl::node's mutex on a step-down): it must only
+  /// hand off. Returns the waiter id, or 0 — nothing parked, `wake`
+  /// never runs, retry now — when the epoch already moved past `epoch`
+  /// or the registry is shut down. A never-acquired key counts as epoch
+  /// 0: parking on it creates no key state and uses up no instance id.
+  [[nodiscard]] std::uint64_t park(const std::string& key,
+                                   std::uint64_t epoch,
+                                   std::function<void()> wake);
 
-  /// Timed variant: additionally give up at `deadline`. Returns true
-  /// when the epoch advanced (or shutdown() fired — the caller's retry
-  /// then comes back rejected), false on timeout with the epoch
-  /// unchanged.
-  [[nodiscard]] bool wait_for_epoch_above_until(const std::string& key,
-                                                std::uint64_t epoch,
-                                                clock::time_point deadline);
+  /// Take a parked waiter back: true when its wake will never run;
+  /// false when the wake was already handed out (or the id is unknown).
+  bool unpark(std::uint64_t id);
 
-  /// Wake every epoch waiter and make current/future waits return
-  /// immediately. Called by the service's stop() so blocked acquirers
-  /// fail over to a rejected acquire instead of sleeping forever.
+  /// Hand every parked waiter its wake (a primary stepping down: its
+  /// parked acquirers must go and find the new one).
+  void wake_all();
+
+  /// Waiters parked right now (introspection; not a hot path).
+  [[nodiscard]] std::size_t parked_count() const;
+
+  /// Wake every parked waiter and refuse later parks (park() returns 0).
+  /// Called by the service's stop() so blocked acquirers retry into a
+  /// rejected acquire instead of sleeping forever.
   void shutdown();
 
   /// Keys registered in one shard / in total (for distribution checks).
@@ -445,9 +453,9 @@ class instance_registry {
   /// log entry, and watermark, then load `bytes` without fencing. The
   /// replication layer installs a primary's snapshot on a lagging or
   /// diverged follower with it — the snapshot IS the authoritative
-  /// state, so nothing local survives (epoch waiters are woken and
-  /// re-evaluate against the installed state). Same error conditions
-  /// as restore(); on error the registry is left cleared, not torn.
+  /// state, so nothing local survives (every parked waiter is woken and
+  /// retries against the installed state). Same error conditions as
+  /// restore(); on error the registry is left cleared, not torn.
   [[nodiscard]] std::optional<std::string> install_snapshot(
       const std::vector<std::uint8_t>& bytes);
 
@@ -511,10 +519,19 @@ class instance_registry {
     std::uint64_t pending_fence = 0;
   };
 
+  using wake_list = std::vector<std::function<void()>>;
+
   struct shard {
     mutable std::mutex mutex;
-    std::condition_variable epoch_changed;
     std::unordered_map<std::string, key_state> keys;
+    /// Parked acquirers (id, wake) per key, apart from `keys` so parking
+    /// on a never-acquired key creates no key state. Ids are
+    /// n * shard_count + shard index: an id names its shard.
+    std::unordered_map<std::string,
+                       std::vector<std::pair<std::uint64_t,
+                                             std::function<void()>>>>
+        waiters;
+    std::uint64_t next_waiter = 1;
     /// Retained command log (appended only while recording) and the
     /// shard's watermark: seq/logical-time of the last command executed
     /// here, live or replayed. All guarded by `mutex`.
@@ -526,11 +543,11 @@ class instance_registry {
 
   shard& shard_for(const std::string& key);
   key_state& state_locked(shard& s, const std::string& key);
-  /// Shared body of the epoch waits: park until `key`'s epoch exceeds
-  /// `epoch` or shutdown() fires (-> true), or until `deadline` passes
-  /// (-> false; nullptr waits forever).
-  bool wait_for_epoch_above_impl(const std::string& key, std::uint64_t epoch,
-                                 const clock::time_point* deadline);
+  /// Move `key`'s parked waiters' wakes into `out` (shard lock held);
+  /// the caller runs them after unlocking. One branch on an empty map
+  /// when nobody is parked in the shard.
+  static void take_waiters_locked(shard& s, const std::string& key,
+                                  wake_list& out);
   /// Allocate a fresh instance id; aborts at instance_id_limit (see
   /// file comment) instead of wrapping the 32-bit var_id namespace.
   [[nodiscard]] election::election_id allocate_instance();
@@ -538,7 +555,7 @@ class instance_registry {
   /// stamped with (steady-based: immune to wall-clock jumps).
   [[nodiscard]] std::uint64_t logical_now_ms() const;
   /// Bump `key` to a fresh (instance, epoch) with no holder. Caller holds
-  /// the shard lock and must notify epoch_changed after unlocking.
+  /// the shard lock and must wake the key's waiters after unlocking.
   void bump_epoch_locked(key_state& state);
   /// Stamp both lease-deadline representations from a grant/renewal
   /// command (steady deadline derived from the logical one, so live and
@@ -548,12 +565,18 @@ class instance_registry {
   /// given the command), advance the shard watermark, and — live path
   /// (`from_replay` false) while recording — assign the next seq and
   /// append to the shard log. Caller holds the shard lock, fires the
-  /// hook / notifies waiters after unlocking. Replayed commands keep
+  /// hook / wakes waiters after unlocking. Replayed commands keep
   /// their recorded seq and are never re-appended.
   void apply_command_locked(shard& s, key_state& state, cmd::command& c,
                             bool from_replay);
-  /// Shared body of the fenced epoch-enders: release() and reclaim()
-  /// differ only in the command kind they record.
+  /// Shared body of the single-key epoch-enders: end `key`'s current
+  /// epoch with a `kind` command unless `refuse(state)` (under the shard
+  /// lock; nullptr for a never-acquired key) returns a refusal.
+  template <typename Refuse>
+  lease_status end_epoch(const std::string& key, cmd::command_kind kind,
+                         Refuse refuse);
+  /// end_epoch for the fenced enders: release() and reclaim() differ
+  /// only in the command kind they record.
   lease_status end_epoch_fenced(const std::string& key, int session,
                                 std::uint64_t epoch, cmd::command_kind kind);
   /// If `state` carries a pending failover fence, emit the deferred
@@ -564,8 +587,8 @@ class instance_registry {
       shard& s, key_state& state, const std::string& key,
       std::int32_t shard_index, std::uint64_t at_ms);
   /// Scan every shard and bump every key matching `predicate` (checked
-  /// under the shard lock); waiters are notified per shard and
-  /// `on_bumped(shard_index)` runs once per bumped key, under no lock.
+  /// under the shard lock); the bumped keys' waiters are woken per shard
+  /// and `on_bumped(shard_index)` runs once per bumped key, under no lock.
   /// Each bump emits a `kind` command for the ended epoch.
   /// Shared engine of release_all / reclaim_all (match: held by one
   /// session) and sweep_expired (match: lease deadline passed).

@@ -24,7 +24,51 @@ std::uint64_t to_trace_ns(std::chrono::steady_clock::time_point tp) {
           .count());
 }
 
+/// Park on (key, epoch) and block until the epoch moves (true) or
+/// `deadline` passes first (false).
+bool park_until(instance_registry& registry, const std::string& key,
+                std::uint64_t epoch,
+                std::chrono::steady_clock::time_point deadline) {
+  struct {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool woken = false;
+  } done;
+  const std::uint64_t id = registry.park(key, epoch, [&done] {
+    // Under the lock: once `woken` shows, the waiter may destroy `done`.
+    const std::lock_guard<std::mutex> lock(done.mutex);
+    done.woken = true;
+    done.cv.notify_all();
+  });
+  if (id == 0) return true;  // moved already (or shut down): retry now
+  const auto woken = [&done] { return done.woken; };
+  std::unique_lock<std::mutex> lock(done.mutex);
+  // No wait_until(max()): libstdc++ turns a steady deadline into a
+  // relative wait, which overflows on max().
+  if (deadline != std::chrono::steady_clock::time_point::max() &&
+      !done.cv.wait_until(lock, deadline, woken)) {
+    lock.unlock();
+    if (registry.unpark(id)) return false;
+    // Too late: the wake is on its way and must land before `done` dies.
+    lock.lock();
+  }
+  done.cv.wait(lock, woken);
+  return true;
+}
+
 }  // namespace
+
+std::chrono::steady_clock::time_point deadline_after(
+    std::chrono::milliseconds timeout) {
+  using clock = std::chrono::steady_clock;
+  const clock::time_point now = clock::now();
+  // Compared in milliseconds: converting a huge timeout to the clock's
+  // nanoseconds would itself overflow.
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      clock::time_point::max() - now);
+  if (timeout >= room) return clock::time_point::max();
+  return now + std::max(timeout, std::chrono::milliseconds::zero());
+}
 
 std::optional<std::string> service_config::validate() const {
   if (nodes <= 0) {
@@ -157,9 +201,9 @@ void service::stop() {
     sweeper_cv_.notify_all();
     sweeper_.join();
   }
-  // Wake clients blocked in wait_for_epoch_above *before* draining: on
-  // wakeup they retry the acquire and get a rejected result instead of
-  // sleeping on an epoch bump that will never come.
+  // Wake parked acquirers *before* draining: on wakeup they retry the
+  // acquire and get a rejected result instead of sleeping on an epoch
+  // bump that will never come.
   registry_.shutdown();
   // One shutdown job per driver; queued behind any in-flight acquires, so
   // drivers drain their queues before returning.
@@ -281,11 +325,13 @@ void service::sweeper_main() {
 // converts a failed wait into the sever verdict.
 
 acquire_result service::gate_acquire(acquire_result result,
-                                     const std::string& key) {
+                                     const std::string& key, int session_id) {
   if (!result.won || !commit_gate_ || commit_gate_(key)) return result;
   // The grant applied locally but never reached a quorum: this primary
-  // may not confirm it. Failover reconciles the registry; the caller
-  // must treat the lease as never granted.
+  // may not confirm it, so nobody believes they hold it. Revoke exactly
+  // this (session, epoch) instead of leaving it live until TTL,
+  // disconnect or failover; ungated, it replicates like any command.
+  (void)registry_.reclaim(key, session_id, result.epoch);
   result.won = false;
   result.fast_path = false;
   result.rejected = true;
@@ -561,7 +607,7 @@ acquire_result service::run_acquire(int session_id, process_id pid,
         }
         metrics_.record_acquire(registry_.shard_of(key), j.kind, result.won,
                                 result.latency_ns);
-        return gate_acquire(std::move(result), key);
+        return gate_acquire(std::move(result), key, session_id);
       }
       metrics_.record_fast_path_fallback();
     }
@@ -574,7 +620,7 @@ acquire_result service::run_acquire(int session_id, process_id pid,
   if (!submit(pid, j)) return reject();
   std::unique_lock<std::mutex> lock(j.mutex);
   j.cv.wait(lock, [&] { return j.done; });
-  return gate_acquire(std::move(j.result), key);
+  return gate_acquire(std::move(j.result), key, session_id);
 }
 
 // ---------------------------------------------------------------------
@@ -585,27 +631,21 @@ acquire_result service::session::try_acquire(const std::string& key) {
 }
 
 acquire_result service::session::acquire(const std::string& key) {
-  for (;;) {
-    const acquire_result result = try_acquire(key);
-    if (result.won || result.rejected) return result;
-    const obs::scoped_span span(obs::phase::epoch_wait);
-    owner_->registry_.wait_for_epoch_above(key, result.epoch);
-  }
+  return try_acquire_for(key, std::chrono::milliseconds::max());
 }
 
 acquire_result service::session::try_acquire_for(
     const std::string& key, std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const auto deadline = deadline_after(timeout);
   for (;;) {
     acquire_result result = try_acquire(key);
     if (result.won || result.rejected) return result;
     // Bound only the sleep: an attempt in flight when the deadline hits
-    // still runs to completion above. wait returns true on epoch
-    // advance *and* on service shutdown — the retry then comes back
-    // rejected, so a stopped service never strands a timed waiter.
+    // still runs to completion above. A shutdown wakes the park too (or
+    // refuses it) — the retry then comes back rejected, so a stopped
+    // service never strands a waiter.
     const obs::scoped_span span(obs::phase::epoch_wait);
-    if (!owner_->registry_.wait_for_epoch_above_until(key, result.epoch,
-                                                      deadline)) {
+    if (!park_until(owner_->registry_, key, result.epoch, deadline)) {
       result.timed_out = true;
       return result;
     }

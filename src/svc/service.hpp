@@ -151,9 +151,9 @@ struct acquire_result {
   /// The epoch was granted through the adaptive CAS fast path — no
   /// distributed election ran for this attempt.
   bool fast_path = false;
-  /// The epoch of the instance contended. Losers pass this to
-  /// wait_for_epoch_above to sleep until the holder releases or expires;
-  /// winners pass it back to renew()/release() as the fencing token.
+  /// The epoch of the instance contended. Losers park on it (registry
+  /// park) until the holder releases or expires; winners pass it back
+  /// to renew()/release() as the fencing token.
   std::uint64_t epoch = 0;
   election::election_id instance{0};
   std::uint64_t latency_ns = 0;
@@ -161,6 +161,13 @@ struct acquire_result {
   /// (time_point::max() when lease_ttl_ms == 0).
   std::chrono::steady_clock::time_point lease_deadline{};
 };
+
+/// now + `timeout`, saturating at time_point::max() (wait forever)
+/// instead of overflowing; a timeout <= 0 is due now. The one deadline
+/// computation behind every bounded acquire — the local session's and
+/// the network server's.
+[[nodiscard]] std::chrono::steady_clock::time_point deadline_after(
+    std::chrono::milliseconds timeout);
 
 class service {
  public:
@@ -188,8 +195,9 @@ class service {
     /// `timeout` has elapsed — the result then has `timed_out` set (and
     /// `won` false). The timeout bounds the sleeps between attempts; an
     /// attempt already in flight when it expires still completes (and
-    /// its win is returned). stop() wakes timed waiters immediately
-    /// with `rejected`, same as acquire().
+    /// its win is returned). milliseconds::max() never times out.
+    /// stop() wakes timed waiters immediately with `rejected`, same as
+    /// acquire().
     acquire_result try_acquire_for(const std::string& key,
                                    std::chrono::milliseconds timeout);
 
@@ -412,10 +420,12 @@ class service {
   lease_status count_lease_op(const std::string& key, lease_status status,
                               bool renewal, std::uint64_t epoch);
   /// Run the commit gate (when installed) over a freshly decided
-  /// acquire: a won attempt whose grant never commits is reported as
+  /// acquire: a won attempt whose grant never commits is revoked (a
+  /// fenced reclaim of exactly that session and epoch) and reported as
   /// `connection_lost`, not a win.
   [[nodiscard]] acquire_result gate_acquire(acquire_result result,
-                                            const std::string& key);
+                                            const std::string& key,
+                                            int session_id);
   /// Same for single-key lease ops: an `ok` that never commits becomes
   /// `connection_lost`.
   [[nodiscard]] lease_status gate_lease_op(const std::string& key,

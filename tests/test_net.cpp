@@ -7,10 +7,17 @@
 // disconnect-on-close hook (well inside the PR 2 TTL + sweep bound).
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -499,60 +506,283 @@ TEST(NetRemote, ServerStopRejectsRemoteCallsCleanly) {
   EXPECT_EQ(stack.service.registry().leader_of("stopme"), -1);
 }
 
-TEST(NetRemote, SaturatedWaiterCapRetriesThroughBusyAndStillWins) {
-  // Regression for the busy path: with max_waiters=1, a parked blocking
-  // acquire saturates the server's entire blocking capacity, so a
-  // second client's acquire is answered `busy`. The client must absorb
-  // that with bounded exponential-backoff retries and *still win* once
-  // the holder releases — previously busy could surface to the caller
-  // looking exactly like a shutdown rejection.
-  remote_stack stack({.nodes = 4, .shards = 2},
-                     {.max_waiters = 1});
-  const auto holder = stack.connect();
-  const auto parked = stack.connect();
-  const auto contender = stack.connect();
-  ASSERT_TRUE(holder->connected());
-  ASSERT_TRUE(parked->connected());
-  ASSERT_TRUE(contender->connected());
+// ---------------------------------------------------------------------
+// Parked acquires: a lost attempt waits on its key's epoch in the
+// registry, not on a server thread.
 
-  const auto held = holder->try_acquire("busy/key");
+/// Threads in this process right now (/proc/self/task entries).
+int thread_count() {
+  int n = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* entry = ::readdir(dir)) {
+      if (entry->d_name[0] != '.') ++n;
+    }
+    ::closedir(dir);
+  }
+  return n;
+}
+
+/// Poll `done` every few ms for up to `limit`; true once it holds.
+bool eventually(const std::function<bool()>& done,
+                std::chrono::milliseconds limit = 10s) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(2ms);
+  }
+  return true;
+}
+
+/// A bare wire connection driven from the test thread — no client
+/// reader thread, so a thread count sees only the server's threads.
+class raw_connection {
+ public:
+  explicit raw_connection(std::uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (fd_ < 0 ||
+        ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) != 0) {
+      return;
+    }
+    send(net::wire::make_hello_request());
+    while (responses_.empty() && receive(/*block=*/true)) {
+    }
+    connected_ = !responses_.empty() &&
+                 responses_[0].result == net::wire::status::ok;
+    responses_.clear();
+  }
+  ~raw_connection() { close(); }
+
+  raw_connection(const raw_connection&) = delete;
+  raw_connection& operator=(const raw_connection&) = delete;
+
+  [[nodiscard]] bool connected() const { return connected_; }
+
+  void send(const net::wire::request& r) {
+    const auto frame = net::wire::encode_request(r);
+    std::size_t sent = 0;
+    while (sent < frame.size()) {
+      const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Every response that has arrived so far (never blocks).
+  const std::vector<net::wire::response>& responses() {
+    while (receive(/*block=*/false)) {
+    }
+    return responses_;
+  }
+
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  bool receive(bool block) {
+    std::uint8_t buffer[16 * 1024];
+    const ssize_t got =
+        ::recv(fd_, buffer, sizeof buffer, block ? 0 : MSG_DONTWAIT);
+    if (got <= 0) return false;
+    EXPECT_TRUE(reader_.feed(buffer, static_cast<std::size_t>(got)));
+    while (auto body = reader_.next()) {
+      auto decoded = net::wire::decode_response(*body);
+      EXPECT_TRUE(decoded.has_value());
+      if (decoded.has_value()) responses_.push_back(std::move(*decoded));
+    }
+    return true;
+  }
+
+  int fd_ = -1;
+  bool connected_ = false;
+  net::wire::frame_reader reader_;
+  std::vector<net::wire::response> responses_;
+};
+
+// Parked acquirers cost no threads: 1,008 acquires parked on one held
+// key across 16 connections leave the process's thread count where it
+// was, and none is refused `busy`.
+TEST(NetParked, ThousandParkedAcquiresCostNoThreads) {
+  constexpr int connections = 16;
+  constexpr int per_connection = 63;
+  constexpr std::size_t total = connections * per_connection;
+  remote_stack stack({.nodes = 4, .shards = 2});
+  const auto holder = stack.connect();
+  const auto held = holder->try_acquire("crowd/key");
+  ASSERT_TRUE(held.won);
+  std::vector<std::unique_ptr<raw_connection>> crowd;
+  for (int c = 0; c < connections; ++c) {
+    crowd.push_back(std::make_unique<raw_connection>(stack.server.port()));
+    ASSERT_TRUE(crowd.back()->connected());
+  }
+  auto& registry = stack.service.registry();
+
+  const int threads_before = thread_count();
+  std::uint64_t next_id = 100;
+  for (auto& conn : crowd) {
+    for (int i = 0; i < per_connection; ++i) {
+      net::wire::request r;
+      r.id = next_id++;
+      r.kind = net::wire::op::acquire;
+      r.key = "crowd/key";
+      conn->send(r);
+    }
+  }
+  ASSERT_TRUE(eventually([&] { return registry.parked_count() == total; }))
+      << "parked: " << registry.parked_count();
+  EXPECT_NEAR(thread_count(), threads_before, 2);
+  EXPECT_EQ(stack.server.report().busy_rejections, 0u);
+
+  // The release wakes every parked acquire; exactly one wins the new
+  // epoch and is answered, the rest park again.
+  ASSERT_EQ(holder->release("crowd/key", held.epoch), svc::lease_status::ok);
+  ASSERT_TRUE(eventually([&] {
+    return registry.parked_count() == total - 1 &&
+           registry.leader_of("crowd/key") != -1;
+  }));
+  std::this_thread::sleep_for(50ms);  // let any stray answer arrive
+  int answered = 0;
+  int won = 0;
+  for (auto& conn : crowd) {
+    for (const auto& r : conn->responses()) {
+      ++answered;
+      if (r.won()) ++won;
+    }
+  }
+  EXPECT_EQ(answered, 1);
+  EXPECT_EQ(won, 1);
+  EXPECT_EQ(registry.parked_count(), total - 1);
+  EXPECT_NEAR(thread_count(), threads_before, 2);
+
+  // Closing the crowd takes every parked acquire back and reclaims the
+  // winner's lease (plus any win the cascade hands out meanwhile).
+  for (auto& conn : crowd) conn->close();
+  EXPECT_TRUE(eventually([&] {
+    return registry.parked_count() == 0 &&
+           registry.leader_of("crowd/key") == -1 &&
+           stack.server.report().connections_active == 1;
+  })) << "leader " << registry.leader_of("crowd/key") << ", parked "
+      << registry.parked_count();
+  EXPECT_NEAR(thread_count(), threads_before, 2);
+}
+
+// Parked acquires hold no read budget: 64 acquires parked on ONE
+// connection (the in-flight cap) must not stop the server from reading
+// the holder's release on that same connection.
+TEST(NetParked, ParkedAcquiresDoNotBlockTheirOwnConnectionsRelease) {
+  constexpr int waiters = 64;
+  remote_stack stack({.nodes = 4, .shards = 2});
+  const auto shared = stack.connect();
+  const auto held = shared->try_acquire("budget/key");
   ASSERT_TRUE(held.won);
 
-  // Occupy the single waiter slot with an acquire that will park until
-  // the holder releases.
-  svc::acquire_result parked_result;
-  std::thread parked_thread(
-      [&] { parked_result = parked->acquire("busy/key"); });
-  // Wait until the waiter slot is actually taken (the parked acquire is
-  // server-side), so the contender is guaranteed to hit the cap.
-  const auto armed_by = std::chrono::steady_clock::now() + 5s;
-  while (stack.service.registry().leader_of("busy/key") == -1 ||
-         stack.server.report().requests < 2) {
-    ASSERT_LT(std::chrono::steady_clock::now(), armed_by);
-    std::this_thread::sleep_for(5ms);
+  std::atomic<int> won{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < waiters; ++i) {
+    threads.emplace_back([&] {
+      const auto r = shared->try_acquire_for("budget/key", 3000ms);
+      if (!r.won) return;
+      won.fetch_add(1);
+      EXPECT_EQ(shared->release("budget/key", r.epoch), svc::lease_status::ok);
+    });
   }
+  ASSERT_TRUE(eventually([&] {
+    return stack.service.registry().parked_count() ==
+           static_cast<std::size_t>(waiters);
+  }));
+  const auto before = std::chrono::steady_clock::now();
+  EXPECT_EQ(shared->release("budget/key", held.epoch), svc::lease_status::ok);
+  EXPECT_LT(std::chrono::steady_clock::now() - before, 1s)
+      << "the release sat unread behind parked acquires";
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(won.load(), waiters);
+}
 
-  svc::acquire_result contender_result;
-  std::thread contender_thread(
-      [&] { contender_result = contender->acquire("busy/key"); });
-  // Let the contender bounce off the cap at least once before the
-  // holder releases; busy_rejections proves the retries happened.
-  const auto busy_by = std::chrono::steady_clock::now() + 5s;
-  while (stack.server.report().busy_rejections == 0) {
-    ASSERT_LT(std::chrono::steady_clock::now(), busy_by);
-    std::this_thread::sleep_for(5ms);
+TEST(NetParked, MaxTimeoutWaitsLikeAcquire) {
+  remote_stack stack;
+  const auto holder = stack.connect();
+  const auto waiter = stack.connect();
+  const auto held = holder->try_acquire("remote/forever");
+  ASSERT_TRUE(held.won);
+
+  std::atomic<bool> done{false};
+  svc::acquire_result result;
+  std::thread blocked([&] {
+    result = waiter->try_acquire_for("remote/forever",
+                                     std::chrono::milliseconds::max());
+    done.store(true);
+  });
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(done.load()) << "a max() timeout gave up while the key was held";
+  ASSERT_EQ(holder->release("remote/forever", held.epoch),
+            svc::lease_status::ok);
+  blocked.join();
+  EXPECT_TRUE(result.won);
+  EXPECT_FALSE(result.timed_out);
+}
+
+// The parked counterpart of FireAndCloseTryAcquireNeverOrphansTheKey: a
+// socket closing while its acquire is parked — racing the release that
+// would wake it — must leave no grant behind.
+TEST(NetParked, ClosedWhileParkedLeavesNoGrant) {
+  remote_stack stack({.nodes = 2, .shards = 2});  // lease_ttl_ms = 0
+  auto& registry = stack.service.registry();
+  const auto holder = stack.connect();
+  for (int round = 0; round < 20; ++round) {
+    const std::string key = "parked/close/" + std::to_string(round);
+    const auto held = holder->try_acquire(key);
+    ASSERT_TRUE(held.won);
+    auto doomed = stack.connect();
+    ASSERT_NE(doomed->submit(net::wire::op::acquire, key), 0u);
+    ASSERT_TRUE(eventually([&] { return registry.parked_count() == 1; }));
+    std::thread closer([&] { doomed->close(); });
+    ASSERT_EQ(holder->release(key, held.epoch), svc::lease_status::ok);
+    closer.join();
+    EXPECT_TRUE(eventually([&] {
+      return registry.parked_count() == 0 && registry.leader_of(key) == -1;
+    })) << "round " << round << ": leader " << registry.leader_of(key);
   }
+}
 
-  EXPECT_EQ(holder->release("busy/key", held.epoch),
-            svc::lease_status::ok);
-  parked_thread.join();
-  ASSERT_TRUE(parked_result.won);
-  EXPECT_EQ(parked->release("busy/key", parked_result.epoch),
-            svc::lease_status::ok);
-  contender_thread.join();
-  ASSERT_TRUE(contender_result.won)
-      << "busy must be retried, not surfaced as a loss";
-  EXPECT_GE(stack.server.report().busy_rejections, 1u);
+// stop() answers every parked acquire `rejected` and takes it back out
+// of the registry: nothing of the stopped server stays parked, so no
+// later epoch move can run one of its wakes.
+TEST(NetParked, StopAnswersParkedAcquiresRejected) {
+  constexpr int parked = 100;
+  remote_stack stack({.nodes = 2, .shards = 2});
+  auto holder = stack.service.connect();
+  const auto held = holder.try_acquire("parked/stop");
+  ASSERT_TRUE(held.won);
+  const auto client = stack.connect();
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < parked; ++i) {
+    ids.push_back(client->submit(net::wire::op::acquire, "parked/stop"));
+    ASSERT_NE(ids.back(), 0u);
+  }
+  ASSERT_TRUE(eventually([&] {
+    return stack.service.registry().parked_count() ==
+           static_cast<std::size_t>(parked);
+  }));
+
+  const auto before = std::chrono::steady_clock::now();
+  stack.server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - before, 1s);
+  EXPECT_EQ(stack.service.registry().parked_count(), 0u);
+  for (const std::uint64_t id : ids) {
+    const auto r = client->take(id);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->result, net::wire::status::rejected);
+  }
+  // An epoch move after stop() finds nothing of the server to wake.
+  EXPECT_EQ(holder.release("parked/stop", held.epoch), svc::lease_status::ok);
+  EXPECT_EQ(stack.service.registry().parked_count(), 0u);
 }
 
 TEST(NetRemote, RenewRefreshesTheReportedDeadline) {

@@ -1,6 +1,7 @@
 // elect::obs tests: trace minting/scoping/collection, slow-request
 // capture naming the stalled phase, trace-id propagation through both
-// api::client backends (local and remote), event-journal ordering (both
+// api::client backends (local and remote) and across a parked remote
+// acquire, event-journal ordering (both
 // standalone and fed by a live service), and the watch hub's overflow
 // contract — dropped events are counted, survivors deliver exactly
 // once, and a wedged subscriber never blocks the publisher.
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "api/client.hpp"
+#include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
@@ -190,6 +192,58 @@ TEST(TracePropagation, RemoteBackendCarriesTheIdAcrossTheWire) {
   }
   EXPECT_TRUE(serve_seen)
       << "server never recorded a serve span under the client's trace id";
+}
+
+// A traced remote acquire that parks is ONE serve span, from its first
+// executor pickup to the response across every park and retry, with an
+// epoch_wait span inside it for the time it sat parked.
+TEST(TracePropagation, ParkedRemoteAcquireIsOneServeSpanWithAnEpochWait) {
+  svc::service service(svc::service_config{.nodes = 2, .shards = 1});
+  net::server server(service, net::server_config{});
+  ASSERT_TRUE(server.listening());
+  auto holder = service.connect();
+  const auto held = holder.try_acquire("obs/parked");
+  ASSERT_TRUE(held.won);
+  net::client client("127.0.0.1", server.port());
+  ASSERT_TRUE(client.connected());
+
+  std::thread releaser([&] {
+    while (service.registry().parked_count() == 0) {
+      std::this_thread::sleep_for(1ms);
+    }
+    std::this_thread::sleep_for(20ms);
+    EXPECT_EQ(holder.release("obs/parked", held.epoch),
+              svc::lease_status::ok);
+  });
+  const std::uint64_t id = obs::mint();
+  svc::acquire_result won;
+  {
+    const obs::trace_scope scope(id);
+    won = client.acquire("obs/parked");
+  }
+  releaser.join();
+  ASSERT_TRUE(won.won);
+
+  // The serve span is recorded just after the response is queued.
+  std::vector<obs::span> serves;
+  std::vector<obs::span> waits;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (serves.empty() && std::chrono::steady_clock::now() < deadline) {
+    serves.clear();
+    waits.clear();
+    for (const obs::span& sp : obs::collect(id)) {
+      if (sp.stage == obs::phase::serve) serves.push_back(sp);
+      if (sp.stage == obs::phase::epoch_wait) waits.push_back(sp);
+    }
+    if (serves.empty()) std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(serves.size(), 1u);
+  ASSERT_GE(waits.size(), 1u);
+  for (const obs::span& wait : waits) {
+    EXPECT_GE(wait.start_ns, serves[0].start_ns);
+    EXPECT_LE(wait.end_ns, serves[0].end_ns);
+  }
+  EXPECT_GE(serves[0].duration_ns(), 20'000'000u);
 }
 
 TEST(Journal, SeqIsStrictlyIncreasingAndTailIsOldestFirst) {

@@ -6,7 +6,9 @@
 // install healing a seq gap, one-shot votes with the log-up-to-date
 // check), and full in-process clusters over loopback: single-primary
 // election, redirect-following clients, epoch-fenced failover with a
-// held lease, and a late follower catching up via snapshot + suffix.
+// held lease, a late follower catching up via snapshot + suffix, an
+// unconfirmable grant being revoked, and a step-down answering a
+// parked acquire not_primary.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -25,6 +27,7 @@
 #include "api/client.hpp"
 #include "cmd/command.hpp"
 #include "cmd/log_entry.hpp"
+#include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
 #include "repl/config.hpp"
@@ -874,6 +877,76 @@ TEST(ReplCluster, LateFollowerCatchesUpViaSnapshotThenSuffix) {
     EXPECT_EQ(on_late->entry.epoch, on_primary->entry.epoch);
     EXPECT_EQ(on_late->leader, on_primary->leader);
   }
+}
+
+// A grant the commit gate cannot confirm is revoked, not left live: the
+// caller hears connection_lost, so nobody believes it holds the lease,
+// and nothing else would end it before the TTL, a disconnect or a
+// failover.
+TEST(ReplCluster, UnconfirmedGrantIsRevokedNotLeftHeld) {
+  cluster_harness cluster(3);
+  cluster.base.commit_wait_ms = 300;
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  for (int i = 0; i < 3; ++i) {
+    if (i != p) cluster.stop_member(i);
+  }
+  svc::service& service = *cluster.services[static_cast<std::size_t>(p)];
+  auto session = service.connect();
+  const auto result = session.try_acquire("locks/unconfirmed");
+  EXPECT_FALSE(result.won);
+  EXPECT_TRUE(result.rejected);
+  EXPECT_TRUE(result.connection_lost);
+  EXPECT_EQ(service.registry().leader_of("locks/unconfirmed"), -1);
+}
+
+// A primary that steps down with an acquire parked on it answers that
+// acquire not_primary (the step-down wakes every parked acquirer into
+// the primary check) instead of leaving it waiting on a follower's
+// epochs; the client then wins on the new primary.
+TEST(ReplCluster, StepDownAnswersAParkedAcquireNotPrimary) {
+  cluster_harness cluster(3, /*lease_ttl_ms=*/2000);
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  const auto idx = static_cast<std::size_t>(p);
+  svc::service& old_primary = *cluster.services[idx];
+  auto holder = old_primary.connect();
+  ASSERT_TRUE(holder.try_acquire("locks/stepdown").won);
+
+  // A single-endpoint client surfaces the redirect instead of following
+  // it.
+  net::client direct("127.0.0.1", cluster.ports[idx]);
+  ASSERT_TRUE(direct.connected());
+  const std::uint64_t id =
+      direct.submit(net::wire::op::acquire, "locks/stepdown");
+  ASSERT_NE(id, 0u);
+  const auto parked_by = std::chrono::steady_clock::now() + 10s;
+  while (old_primary.registry().parked_count() != 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), parked_by);
+    std::this_thread::sleep_for(2ms);
+  }
+
+  // A vote request from a higher term deposes the primary; its empty
+  // log keeps the vote itself from being granted.
+  const vote_req higher{.term = cluster.nodes[idx]->current_term() + 1,
+                        .candidate = (p + 1) % 3,
+                        .last_log_index = 0,
+                        .last_log_term = 0};
+  (void)cluster.nodes[idx]->handle_peer(
+      peer_request(net::wire::op::peer_vote, higher));
+  const auto answer = direct.take(id);
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answer->result, net::wire::status::not_primary);
+  EXPECT_EQ(old_primary.registry().parked_count(), 0u);
+
+  // Following redirects, the client wins wherever the primary is now,
+  // once the abandoned holder's lease runs out.
+  net::client follower(cluster.endpoints_csv());
+  ASSERT_TRUE(follower.connected());
+  const auto won = follower.try_acquire_for("locks/stepdown", 15'000ms);
+  EXPECT_TRUE(won.won);
 }
 
 }  // namespace

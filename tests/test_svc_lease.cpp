@@ -1,7 +1,7 @@
 // Lease-based ownership tests: crash-tolerant failover via TTL expiry,
 // epoch fencing of zombie release/renew, renewals keeping a lease alive,
 // graceful disconnect, the stop()-vs-acquire race (rejected results, no
-// abort), pure epoch waiters not creating registry state, and the
+// abort), parked waiters not creating registry state, and the
 // participated-map eviction pass.
 #include <gtest/gtest.h>
 
@@ -226,13 +226,37 @@ TEST(SvcTimedAcquire, StopWakesTimedWaiterAsRejected) {
     result = waiter.try_acquire_for("stopped", 60'000ms);
   });
   while (!entered.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(20ms);  // let it park on the epoch CV
+  std::this_thread::sleep_for(20ms);  // let it park on the epoch
   const auto before = std::chrono::steady_clock::now();
   service.stop();
   blocked.join();
   EXPECT_LT(std::chrono::steady_clock::now() - before, 10s);
   EXPECT_TRUE(result.rejected);
   EXPECT_FALSE(result.won);
+  EXPECT_FALSE(result.timed_out);
+}
+
+// milliseconds::max() means "no bound": the deadline saturates instead
+// of overflowing into the past and timing out at once.
+TEST(SvcTimedAcquire, MaxTimeoutWaitsLikeAcquire) {
+  svc::service service(svc::service_config{.nodes = 2, .shards = 2});
+  auto holder = service.connect();
+  auto waiter = service.connect();
+  const auto held = holder.try_acquire("forever");
+  ASSERT_TRUE(held.won);
+
+  std::atomic<bool> done{false};
+  svc::acquire_result result;
+  std::thread blocked([&] {
+    result =
+        waiter.try_acquire_for("forever", std::chrono::milliseconds::max());
+    done.store(true);
+  });
+  std::this_thread::sleep_for(100ms);
+  EXPECT_FALSE(done.load()) << "a max() timeout gave up while the key was held";
+  ASSERT_EQ(holder.release("forever", held.epoch), svc::lease_status::ok);
+  blocked.join();
+  EXPECT_TRUE(result.won);
   EXPECT_FALSE(result.timed_out);
 }
 
@@ -304,7 +328,7 @@ TEST(SvcStop, BlockedAcquireWakesRejectedOnStop) {
     blocked_result = waiter.acquire("held");  // loses, sleeps on the epoch
   });
   while (!entered.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(20ms);  // give it time to park on the CV
+  std::this_thread::sleep_for(20ms);  // give it time to park
   service.stop();
   blocked.join();
 
@@ -313,7 +337,7 @@ TEST(SvcStop, BlockedAcquireWakesRejectedOnStop) {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: pure epoch waiters must not create key state.
+// Satellite: parked waiters must not create key state.
 
 TEST(SvcRegistry, WaiterOnUnknownKeyCreatesNoState) {
   svc::service service(svc::service_config{.nodes = 2, .shards = 2});
@@ -321,25 +345,58 @@ TEST(SvcRegistry, WaiterOnUnknownKeyCreatesNoState) {
   auto& registry = service.registry();
   ASSERT_EQ(registry.key_count(), 0u);
   EXPECT_FALSE(registry.peek("ghost").has_value());
+  const std::uint64_t ids_before = registry.remaining_instance_ids();
 
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    registry.wait_for_epoch_above("ghost", 0);
-    woke.store(true);
-  });
-  std::this_thread::sleep_for(30ms);
+  std::atomic<int> woke{0};
+  const std::uint64_t id =
+      registry.park("ghost", 0, [&] { woke.fetch_add(1); });
+  ASSERT_NE(id, 0u);
   // The waiter parked on a never-acquired key: no state, no instance id
-  // burned, and it is still asleep (implicit epoch 0 is not > 0).
+  // used up, and it is still parked (nothing moved the implicit epoch 0).
   EXPECT_EQ(registry.key_count(), 0u);
-  EXPECT_FALSE(woke.load());
+  EXPECT_EQ(registry.remaining_instance_ids(), ids_before);
+  EXPECT_EQ(registry.parked_count(), 1u);
+  EXPECT_EQ(woke.load(), 0);
 
-  // First real acquire creates the key at epoch 0; the release bumps to
-  // epoch 1 and must wake the waiter even though it parked pre-creation.
+  // First real acquire creates the key at epoch 0 (no wake: a grant
+  // moves no epoch); the release bumps to epoch 1 and must wake the
+  // waiter even though it parked pre-creation — on the releasing thread,
+  // before release() returns.
   ASSERT_TRUE(session.try_acquire("ghost").won);
+  EXPECT_EQ(woke.load(), 0);
   EXPECT_EQ(session.release("ghost"), svc::lease_status::ok);
-  waiter.join();
-  EXPECT_TRUE(woke.load());
+  EXPECT_EQ(woke.load(), 1);
+  EXPECT_EQ(registry.parked_count(), 0u);
   EXPECT_EQ(registry.key_count(), 1u);
+  // The wake was handed out: taking the waiter back now finds nothing.
+  EXPECT_FALSE(registry.unpark(id));
+}
+
+TEST(SvcRegistry, ParkRefusesAMovedEpochAndUnparkTakesTheWaiterBack) {
+  svc::service service(svc::service_config{.nodes = 2, .shards = 2});
+  auto session = service.connect();
+  auto& registry = service.registry();
+  const auto held = session.try_acquire("moved");
+  ASSERT_TRUE(held.won);
+  ASSERT_EQ(session.release("moved", held.epoch), svc::lease_status::ok);
+
+  // Epoch 0 already ended: parking on it would sleep through a move
+  // that already happened, so it is refused — the caller retries now.
+  int woke = 0;
+  EXPECT_EQ(registry.park("moved", held.epoch, [&] { ++woke; }), 0u);
+
+  // Parked on the current epoch, then taken back: the wake never runs,
+  // even when the epoch moves afterwards.
+  const std::uint64_t id =
+      registry.park("moved", held.epoch + 1, [&] { ++woke; });
+  ASSERT_NE(id, 0u);
+  EXPECT_TRUE(registry.unpark(id));
+  EXPECT_FALSE(registry.unpark(id));
+  const auto again = session.try_acquire("moved");
+  ASSERT_TRUE(again.won);
+  ASSERT_EQ(session.release("moved", again.epoch), svc::lease_status::ok);
+  EXPECT_EQ(woke, 0);
+  EXPECT_EQ(registry.parked_count(), 0u);
 }
 
 // ---------------------------------------------------------------------
