@@ -19,7 +19,9 @@
 //   ./build/examples/elect_chaos --cluster 3 --seed 7 # replicated mode
 //
 // --cluster N forks an N-member replicated cluster (elect_server
-// --cluster), one nemesis proxy in front of each member, and workers
+// --cluster, each member also dumping --snapshot to its own file every
+// 20 ms, so the snapshot trim races the replication drain under
+// faults), one nemesis proxy in front of each member, and workers
 // holding multi-endpoint clients that chase not_primary redirects.
 // Every kill phase becomes kill-the-PRIMARY: SIGKILL the member
 // currently holding the term mid-churn, let the survivors elect and
@@ -287,6 +289,8 @@ class cluster_fleet {
         "--admin", "on",
         "--journal", journal_path(member, incarnations_[idx]),
         "--fence-bump", std::to_string(fence_bump_),
+        "--snapshot", dir_ + "/snapshot.m" + std::to_string(member) + ".elsn",
+        "--snapshot-interval-ms", "20",
     };
     const pid_t pid = ::fork();
     if (pid < 0) return false;

@@ -109,10 +109,10 @@ bool dump_snapshot(const std::string& path,
   return true;
 }
 
-/// Periodic snapshot dumper. Trims the command log on every dump: the
-/// snapshot already captures everything the trimmed prefix encoded, so
-/// a long-running server holds a bounded log, not an unbounded replay
-/// history.
+/// Periodic snapshot dumper. Every dump moves the command log's history
+/// past what the snapshot captures, so a long-running server holds a
+/// bounded log, not an unbounded replay history; a command the
+/// replication drain or the observer feed has not read yet stays.
 class snapshotter {
  public:
   snapshotter(elect::svc::service& service, std::string path,
@@ -292,8 +292,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!cluster_dir.empty()) (void)::mkdir(cluster_dir.c_str(), 0755);
-    // The replicated log drains the registry's command log; the member
-    // listens where its own --cluster entry says, whatever --port said.
+    // The member listens where its own --cluster entry says, whatever
+    // --port said; its command history backs admin_commands and
+    // --snapshot, as on a single server.
     service_config.record_commands = true;
     // Disjoint per-member session ids: a lease replicated from another
     // member's log must never match a live local session, so a
@@ -322,6 +323,8 @@ int main(int argc, char** argv) {
                    restore_path.c_str(), error->c_str());
       return 1;
     }
+    // Journal the fence now, not on the next op that touches its shard.
+    service.publish_committed();
     std::printf("restored %s (all restored epochs fenced, bump %llu)\n",
                 restore_path.c_str(),
                 static_cast<unsigned long long>(fence_bump));

@@ -226,11 +226,10 @@ class client {
 
   /// Subscribe to `key`'s leader transitions (elected / released /
   /// expired). Guarantees, identical over both transports: every
-  /// transition after this call returns is delivered once, in the
-  /// order the service observed it — which is wall-clock order per key,
-  /// except that an epoch's end (released/expired) and its successor's
-  /// `elected` may arrive in either order, since the successor races in
-  /// the moment the epoch bumps. There is NO ordering across keys.
+  /// committed transition after this call returns is delivered once,
+  /// in the order the registry executed it per key — an epoch's end
+  /// (released/expired) before its successor's `elected`. There is NO
+  /// ordering across keys.
   /// Delivery lag is bounded by the lease TTL + sweep interval: a
   /// silently crashed holder is observed as `expired` within that
   /// bound. Returns an inactive subscription on a dead transport.

@@ -77,7 +77,7 @@ struct command {
   /// Owning shard (hash(key) % shard_count in the emitting registry).
   std::int32_t shard = -1;
   command_kind kind = command_kind::acquire_granted;
-  std::string key;
+  std::string key{};
   /// Session the command is about: new leader (acquire_granted), the
   /// holder (released/renewed/expired/force_released/
   /// disconnect_reclaimed), or -1 (epoch_bumped).

@@ -1205,36 +1205,43 @@ void server::serve_admin(const pending& p, wire::response& r) {
       break;
     }
     case wire::op::admin_commands: {
-      // Page through the retained command stream: the request's epoch
-      // field is the offset into collect_commands() order, the
-      // response's epoch is the next offset. The collection is
-      // re-taken per page — stable as long as nothing trims between
-      // pages (callers fetch at quiesce; a concurrent trim shows up as
-      // a shrunk total, not corruption).
+      // Page through the retained command log from a position the
+      // client holds: the request's epoch packs (shard << 48 | seq) —
+      // resume after that seq of that shard — and the response's epoch
+      // is the position the next page starts from. A page reads only
+      // its own slice of each shard's log, so commands appended between
+      // pages shift nothing: none repeats and none is skipped. An empty
+      // page ends the pass.
       if (!registry.command_log_enabled()) {
         r.result = wire::status::rejected;
         break;
       }
-      const std::vector<cmd::command> all = registry.collect_commands();
-      const std::uint64_t offset =
-          std::min<std::uint64_t>(p.req.epoch, all.size());
-      std::string body = "{\"total\":";
-      body += std::to_string(all.size());
-      body += ",\"offset\":";
-      body += std::to_string(offset);
-      body += ",\"commands\":[";
-      std::uint64_t next = offset;
-      bool first = true;
-      for (; next < all.size(); ++next) {
-        const std::string one = cmd::to_json(all[next]);
-        if (body.size() + one.size() > wire::max_frame_bytes / 2) break;
-        if (!first) body += ',';
-        body += one;
-        first = false;
+      constexpr std::size_t chunk = 256;
+      int shard = static_cast<int>(
+          std::min<std::uint64_t>(p.req.epoch >> 48, registry.shard_count()));
+      std::uint64_t after = p.req.epoch & ((1ull << 48) - 1);
+      std::string body = "{\"total\":" +
+                         std::to_string(registry.log_stats().retained) +
+                         ",\"commands\":[";
+      const std::size_t empty = body.size();
+      for (bool full = false; !full && shard < registry.shard_count();) {
+        const auto slice = registry.read_log(shard, after, chunk);
+        for (const cmd::command& c : slice) {
+          const std::string one = (body.size() == empty ? "" : ",") +
+                                  cmd::to_json(c);
+          full = body.size() + one.size() > wire::max_frame_bytes / 2;
+          if (full) break;
+          body += one;
+          after = c.seq;
+        }
+        if (!full && slice.size() < chunk) {
+          ++shard;  // this shard is read out
+          after = 0;
+        }
       }
       body += "]}";
       r.body = std::move(body);
-      r.epoch = next;
+      r.epoch = (static_cast<std::uint64_t>(shard) << 48) | after;
       r.result = wire::status::ok;
       break;
     }

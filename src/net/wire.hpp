@@ -117,14 +117,16 @@ enum class op : std::uint8_t {
   /// describing the command log (recording/recorded/retained/bytes).
   /// Same gate as admin_list.
   admin_snapshot = 15,
-  /// Admin: page through the registry's retained command log (the
-  /// replayable stream behind snapshots). `epoch` carries the page
-  /// offset into the collected stream; the response `body` is a JSON
-  /// object {"total":N,"offset":O,"commands":[...]} holding as many
-  /// commands (cmd::to_json objects, shard-by-shard seq order) as fit
-  /// one frame, and the response `epoch` echoes the next offset. The
-  /// chaos checker's command-stream access. Same gate as admin_list;
-  /// `rejected` when the registry is not recording.
+  /// Admin: page through the registry's retained, committed command
+  /// log (the replayable stream behind snapshots). `epoch` carries the
+  /// log position to resume after, packed as (shard << 48 | seq); 0
+  /// starts at the beginning. The response `body` is a JSON object
+  /// {"total":N,"commands":[...]} — N commands retained in all — holding
+  /// as many commands (cmd::to_json objects, shard-by-shard seq order)
+  /// as fit one frame, and the response `epoch` is the position the
+  /// next page resumes after; an empty page ends the pass. Same gate as
+  /// admin_list; `rejected` when the registry keeps no history
+  /// (record_commands off).
   admin_commands = 16,
   /// Admin: the cluster's view of itself as a JSON object in `body` —
   /// node id, role, term, commit/last index, per-peer replication lag,

@@ -4,9 +4,9 @@
 // lease released or expired, a fenced (stale-epoch) lease op, a
 // disconnect reclaim, a dropped watch event — is appended here as one
 // typed record: sequence number, wall-clock timestamp, kind, key,
-// epoch, holder, and a free-form cause. Producers are the registry's
-// transition hook, the service's fence counter, the watch hub's drop
-// hook, and the server's disconnect path; they only take the journal
+// epoch, holder, and a free-form cause. Producers are the service's
+// observer feed (the registry's committed command stream), its fence
+// counter, and the watch hub's drop hook; they only take the journal
 // mutex long enough to push one record.
 //
 // Two consumers:

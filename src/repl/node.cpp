@@ -216,24 +216,25 @@ std::string_view to_string(role r) {
 node::node(cluster_config config, svc::service& service)
     : config_(std::move(config)),
       service_(service),
-      committed_shard_seq_(
-          static_cast<std::size_t>(service.registry().shard_count()), 0),
-      floors_(static_cast<std::size_t>(service.registry().shard_count()), 0),
       rng_(config_.seed ^
            (0x9E3779B97F4A7C15ull *
             static_cast<std::uint64_t>(config_.self + 1))) {
   const auto config_error = config_.validate();
   ELECT_CHECK_MSG(!config_error.has_value(), config_error.value_or(""));
-  ELECT_CHECK_MSG(service_.registry().command_log_enabled(),
-                  "repl::node needs service_config.record_commands: the "
-                  "drain path reads the registry's command log");
+  // The drain cursor makes the registry record; from here on only a
+  // quorum commit (or an installed snapshot) lets observers read on.
+  drain_ = service_.registry().open_cursor();
+  service_.registry().commit_manually();
   load_vote_state();
   // Every member boots as a follower: no local lease expiry until this
   // node wins a term.
   service_.set_sweeper_suspended(true);
 }
 
-node::~node() { stop(); }
+node::~node() {
+  stop();
+  service_.registry().close_cursor(drain_);
+}
 
 void node::start() {
   service_.set_commit_gate(
@@ -412,16 +413,12 @@ void node::become_primary_locked(std::unique_lock<std::mutex>& lock) {
     w->match_index = 0;
     w->force_snapshot = false;
   }
-  // Drain floors start at the registry's current watermarks: the
-  // whole log (through the suffix just applied) is accounted for;
-  // only post-promotion commands (the fence's epoch_bumped included)
-  // ship from here.
-  for (int s = 0; s < static_cast<int>(floors_.size()); ++s) {
-    floors_[static_cast<std::size_t>(s)] = service_.registry().shard_last_seq(s);
-  }
 
   // Fence and resume expiry outside the lock: fence_all takes every
-  // shard lock and fires the command hook, and neither needs mu_.
+  // shard lock and wakes parked acquirers, and neither needs mu_. The
+  // drain cursor ships the fence's epoch_bumped commands next; the
+  // suffix applied above was replayed, not logged, so it never
+  // re-ships.
   lock.unlock();
   service_.set_sweeper_suspended(false);
   (void)service_.registry().fence_all(config_.fence_bump);
@@ -436,13 +433,13 @@ void node::become_primary_locked(std::unique_lock<std::mutex>& lock) {
 // --- The drain: registry command log -> replicated log ------------------
 
 void node::drain_locked() {
-  const auto fresh = service_.registry().collect_commands_after(floors_);
+  std::vector<cmd::command> fresh;
+  service_.registry().read_cursor(drain_, -1, /*committed_only=*/false, fresh);
   if (fresh.empty()) return;
-  for (const cmd::command& c : fresh) {
-    floors_[static_cast<std::size_t>(c.shard)] = c.seq;
+  for (cmd::command& c : fresh) {
     cmd::log_entry e;
     e.term = term_;
-    e.change = c;
+    e.change = std::move(c);
     log_.append(std::move(e));
   }
   // Drained commands were already executed by the live registry; the
@@ -470,10 +467,7 @@ void node::advance_commit_locked() {
   for (std::uint64_t i = commit_index_ + 1; i <= candidate; ++i) {
     if (i < log_.first_index()) continue;  // compacted: long committed
     const cmd::command& c = log_.at(i).change;
-    if (c.shard >= 0) {
-      auto& seq = committed_shard_seq_[static_cast<std::size_t>(c.shard)];
-      seq = std::max(seq, c.seq);
-    }
+    if (c.shard >= 0) service_.registry().commit_through(c.shard, c.seq);
   }
   commit_index_ = candidate;
   // The primary's registry is already ahead of the log (live path);
@@ -484,14 +478,28 @@ void node::advance_commit_locked() {
 
 void node::maybe_compact_locked() {
   if (log_.size() < config_.compact_threshold) return;
-  if (commit_index_ != log_.last_index()) return;
-  // Quiescent and over threshold: the registry state IS the log at
-  // commit_index_, so its snapshot is the compacted prefix. trim_log
-  // also drops the registry's own retained commands (the floors are
-  // already past them).
+  // Once everything applied is committed, the registry state IS the
+  // log at commit_index_ and its snapshot is the compacted prefix: on
+  // the primary when the log is quiescent, on a follower (which applies
+  // only committed entries) whenever it has caught up. A deposed
+  // primary holding entries it applied live but never committed waits.
+  // trim_log moves the registry's history past them; the drain cursor
+  // keeps anything not yet shipped.
+  if (needs_install_ || applied_index_ != commit_index_) return;
+  // A primary keeps what a reachable follower still lacks: compacting
+  // it away would cost that follower a snapshot install for trailing by
+  // one append. The snapshot may then run ahead of the index it
+  // replaces; the entries in between re-apply as no-ops (the seq filter
+  // in apply_through_locked).
+  std::uint64_t through = commit_index_;
+  if (role_ == role::primary) {
+    for (const auto& w : workers_) {
+      if (w->reachable) through = std::min(through, w->match_index);
+    }
+  }
+  if (through <= log_.snapshot_last_index()) return;
   auto bytes = service_.registry().snapshot(/*trim_log=*/true);
-  const std::uint64_t term = log_.term_at(commit_index_);
-  log_.compact_to(commit_index_, term, std::move(bytes));
+  log_.compact_to(through, log_.term_at(through), std::move(bytes));
   ++counters_.compactions;
 }
 
@@ -503,22 +511,19 @@ bool node::wait_committed(const std::string& key) {
   if (stop_ || role_ != role::primary) return false;
   drain_locked();
   advance_commit_locked();  // single-member clusters commit right here
+  // The mutated shard's watermark (every shard's for an empty key) must
+  // reach the registry's commit watermark.
+  svc::instance_registry& registry = service_.registry();
+  const int only = key.empty() ? -1 : registry.shard_of(key);
   std::vector<std::pair<int, std::uint64_t>> targets;
-  if (key.empty()) {
-    const int shards = service_.registry().shard_count();
-    targets.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      targets.emplace_back(s, service_.registry().shard_last_seq(s));
+  for (int s = 0; s < registry.shard_count(); ++s) {
+    if (only < 0 || s == only) {
+      targets.emplace_back(s, registry.shard_last_seq(s));
     }
-  } else {
-    const int s = service_.registry().shard_of(key);
-    targets.emplace_back(s, service_.registry().shard_last_seq(s));
   }
   const auto reached = [&] {
     for (const auto& [s, seq] : targets) {
-      if (committed_shard_seq_[static_cast<std::size_t>(s)] < seq) {
-        return false;
-      }
+      if (registry.committed_seq(s) < seq) return false;
     }
     return true;
   };
@@ -561,7 +566,15 @@ void node::ticker_main() {
       lock.unlock();
       run_election();
       lock.lock();
+    } else {
+      maybe_compact_locked();
     }
+    // Render what committed with no client waiting on it (expiries,
+    // the promotion fence) — outside mu_: rendering takes the watch
+    // hub's and the journal's locks.
+    lock.unlock();
+    service_.publish_committed();
+    lock.lock();
   }
 }
 
@@ -728,7 +741,8 @@ void node::replicate_once(peer_worker& w,
   } else {
     ++counters_.appends_sent;
   }
-  if (!resp.has_value() || resp->result != status::ok) {
+  w.reachable = resp.has_value() && resp->result == status::ok;
+  if (!w.reachable) {
     ++counters_.append_failures;
     return;
   }
@@ -844,8 +858,11 @@ net::wire::response node::handle_append(const net::wire::request& r) {
     out.need_snapshot = true;
     return answer(r, status::ok, encode(out));
   }
+  // A prev_index inside the compacted prefix matches by construction:
+  // that prefix is committed, and every later primary holds it.
   if (q.prev_index > log_.last_index() ||
-      log_.term_at(q.prev_index) != q.prev_term) {
+      (q.prev_index >= log_.snapshot_last_index() &&
+       log_.term_at(q.prev_index) != q.prev_term)) {
     // Log mismatch: hint the committed prefix (always shared) so the
     // primary backtracks in one step instead of one index at a time.
     out.match_hint = commit_index_;
@@ -871,16 +888,12 @@ net::wire::response node::handle_append(const net::wire::request& r) {
   }
   if (q.leader_commit > commit_index_) {
     commit_index_ = std::min(q.leader_commit, log_.last_index());
-    apply_committed_locked();
+    apply_through_locked(commit_index_, /*committed=*/true);
   }
   out.success = true;
   out.match_hint = q.prev_index + q.entries.size();
   out.need_snapshot = needs_install_;  // apply may have hit a seq gap
   return answer(r, status::ok, encode(out));
-}
-
-void node::apply_committed_locked() {
-  apply_through_locked(commit_index_, /*committed=*/true);
 }
 
 void node::apply_through_locked(std::uint64_t bound, bool committed) {
@@ -903,10 +916,7 @@ void node::apply_through_locked(std::uint64_t bound, bool committed) {
           return;
         }
       }
-      if (committed) {
-        auto& seq = committed_shard_seq_[static_cast<std::size_t>(c.shard)];
-        seq = std::max(seq, c.seq);
-      }
+      if (committed) service_.registry().commit_through(c.shard, c.seq);
     }
     applied_index_ = idx;
   }
@@ -939,10 +949,6 @@ net::wire::response node::handle_snapshot(const net::wire::request& r) {
   commit_index_ = q.last_index;
   applied_index_ = q.last_index;
   needs_install_ = false;
-  for (int s = 0; s < static_cast<int>(committed_shard_seq_.size()); ++s) {
-    committed_shard_seq_[static_cast<std::size_t>(s)] =
-        service_.registry().shard_last_seq(s);
-  }
   ++counters_.snapshots_installed;
   out.ok = true;
   return answer(r, status::ok, encode(out));

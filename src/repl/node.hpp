@@ -14,20 +14,26 @@
 // Data path: the primary's svc::service applies client ops to its
 // registry immediately (the live path decides), and this node *drains*
 // the resulting cmd::commands into a term-stamped replicated log
-// (registry::collect_commands_after — per-shard floors advance
-// monotonically, so each command ships exactly once). Followers append
-// the entries, and apply them to their registries only once committed
-// — the uncommitted suffix lives in the repl log alone, so a conflict
-// truncation never has to claw state back out of a registry. An entry
-// is committed when a quorum holds it; the commit-before-ack gate
-// (wait_committed, installed as the service's commit gate) holds every
-// client ack — grants *and renewals* — until the mutation's shard
-// watermark is committed. A primary partitioned from its quorum
-// therefore cannot confirm anything: its clients see
-// `connection_lost` and demote, which is the real zombie-safety
-// mechanism; the promotion-time fence (registry::fence_all with the
-// configured bump) additionally jumps every epoch clear of whatever
-// the deposed primary's uncommitted tail may have granted.
+// through its own registry cursor: the cursor advances as it reads, so
+// each command ships exactly once, and a command leaves the registry's
+// log only after it shipped — no snapshot trim can drop an unshipped
+// one. Followers append the entries, and apply them to their
+// registries only once committed — the uncommitted suffix lives in the
+// repl log alone, so a conflict truncation never has to claw state
+// back out of a registry. An entry is committed when a quorum holds
+// it; the node then raises the registry's commit watermark
+// (registry::commit_through), which is what the service's observer
+// feed reads up to — watchers and the journal see only committed
+// commands. The commit-before-ack gate (wait_committed, installed as
+// the service's commit gate) holds every client ack — grants *and
+// renewals* — until the mutation's shard watermark is committed. A
+// primary partitioned from its quorum therefore cannot confirm
+// anything: its clients see `connection_lost` and demote, which is the
+// real zombie-safety mechanism; the promotion-time fence
+// (registry::fence_all with the configured bump) additionally jumps
+// every epoch clear of whatever the deposed primary's uncommitted tail
+// may have granted. Every member compacts its log into a registry
+// snapshot once everything it applied is committed.
 //
 // Failover: a member that wins an election *keeps* its whole log —
 // the up-to-date check on votes means the winner's log already
@@ -87,10 +93,10 @@ struct node_counters {
 
 class node {
  public:
-  /// The service must outlive the node and have been constructed with
-  /// record_commands=true (the drain path reads the registry's command
-  /// log). The node immediately suspends the service's lease sweeper —
-  /// every member boots as a follower; only a promotion resumes it.
+  /// The service must outlive the node. The node opens its drain cursor
+  /// on the service's registry and takes over its commit watermark, and
+  /// immediately suspends the service's lease sweeper — every member
+  /// boots as a follower; only a promotion resumes it.
   node(cluster_config config, svc::service& service);
   ~node();
 
@@ -153,6 +159,8 @@ class node {
     std::uint64_t match_index = 0;
     /// The follower asked for a snapshot (divergence or seq gap).
     bool force_snapshot = false;
+    /// The last call got an answer (compaction spares what it lacks).
+    bool reachable = false;
     std::thread thread;
 
     peer_worker(int m, endpoint ep, std::uint64_t timeout_ms)
@@ -173,7 +181,6 @@ class node {
   void maybe_compact_locked();
   void become_primary_locked(std::unique_lock<std::mutex>& lock);
   void step_down_locked(std::uint64_t new_term);
-  void apply_committed_locked();
   /// Apply log entries up to `bound` into the registry (seq-filtered).
   /// `committed` advances the committed shard watermarks too; promotion
   /// passes false for the inherited, not-yet-committed suffix.
@@ -209,12 +216,9 @@ class node {
   std::uint64_t commit_index_ = 0;
   /// Follower apply watermark (== commit_index_ on a healthy member).
   std::uint64_t applied_index_ = 0;
-  /// Highest quorum-committed registry seq per shard — what the commit
-  /// gate compares against shard_last_seq.
-  std::vector<std::uint64_t> committed_shard_seq_;
-  /// Drain floors per shard (primary only): last registry seq already
-  /// appended to the log.
-  std::vector<std::uint64_t> floors_;
+  /// The registry cursor drain_locked() reads: a command leaves the
+  /// registry's log only once it was shipped into log_.
+  std::uint64_t drain_ = 0;
   /// Set on a deposed primary whose registry may exceed the committed
   /// prefix: appends are refused with need_snapshot until the new
   /// primary's snapshot install rebases the registry.

@@ -33,14 +33,8 @@ std::string_view to_string(transition t) {
   return "unknown";
 }
 
-void instance_registry::set_command_hook(const std::atomic<bool>& armed,
-                                         command_hook hook) {
-  hook_armed_ = &armed;
-  hook_ = std::move(hook);
-}
-
 void instance_registry::enable_command_log() {
-  recording_.store(true, std::memory_order_relaxed);
+  if (history_.load() == 0) history_.store(open_cursor());
 }
 
 instance_registry::instance_registry(int shard_count,
@@ -52,6 +46,7 @@ instance_registry::instance_registry(int shard_count,
   shards_.reserve(static_cast<std::size_t>(shard_count));
   for (int i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<shard>());
+    shards_.back()->index = i;
   }
 }
 
@@ -123,9 +118,8 @@ void instance_registry::set_lease_locked(key_state& state,
       base_ + std::chrono::milliseconds(state.logical_deadline_ms);
 }
 
-void instance_registry::apply_command_locked(shard& s, key_state& state,
-                                             cmd::command& c,
-                                             bool from_replay) {
+void instance_registry::execute_locked(shard& s, key_state& state,
+                                       const cmd::command& c) {
   // The executor half of the funnel: everything below is a pure function
   // of (state, command) — no clock reads, no id ordering — which is what
   // replay determinism rests on. Decisions were made by the caller.
@@ -157,19 +151,41 @@ void instance_registry::apply_command_locked(shard& s, key_state& state,
       break;
   }
   s.last_at_ms = c.at_ms;
-  if (from_replay) {
-    // Replayed commands keep their recorded seq; advancing the watermark
-    // (instead of re-appending) is what makes a post-replay snapshot
-    // byte-identical to the recorder's.
-    if (c.seq != 0) {
-      s.last_seq = c.seq;
-      if (s.next_seq <= c.seq) s.next_seq = c.seq + 1;
-    }
-  } else if (recording_.load(std::memory_order_relaxed)) {
-    c.seq = s.next_seq++;
-    s.last_seq = c.seq;
-    s.log.push_back(c);
+}
+
+void instance_registry::emit_locked(shard& s, key_state& state,
+                                    const std::string& key, cmd::command c) {
+  execute_locked(s, state, c);
+  // Nobody reading: no seq, no key copy, no log entry — the adaptive
+  // fast path keeps its zero-allocation cost.
+  if (s.cursors.empty()) return;
+  c.seq = s.next_seq++;
+  c.shard = s.index;
+  c.key = key;
+  advance_locked(s, c.seq);
+  s.log.push_back(std::move(c));
+}
+
+void instance_registry::advance_locked(shard& s, std::uint64_t seq) {
+  s.last_seq = seq;
+  s.next_seq = std::max(s.next_seq, seq + 1);
+  if (!manual_commit_.load(std::memory_order_relaxed)) s.committed_seq = seq;
+}
+
+void instance_registry::trim_locked(shard& s) {
+  std::uint64_t read_by_all = ~0ull;
+  for (const auto& cursor : s.cursors) {
+    read_by_all = std::min(read_by_all, cursor.second);
   }
+  while (!s.log.empty() && s.log.front().seq <= read_by_all) s.log.pop_front();
+}
+
+void instance_registry::rebase_locked(shard& s, std::uint64_t seq) {
+  s.log.clear();
+  s.next_seq = seq + 1;
+  s.last_seq = seq;
+  s.committed_seq = seq;
+  for (auto& cursor : s.cursors) cursor.second = seq;
 }
 
 instance_entry instance_registry::current(const std::string& key) {
@@ -197,64 +213,47 @@ std::optional<instance_entry> instance_registry::peek(const std::string& key) {
 
 adaptive_attempt instance_registry::begin_adaptive_attempt(
     const std::string& key, int session, clock::duration ttl) {
-  const int shard_index = shard_of(key);
-  shard& s = *shards_[static_cast<std::size_t>(shard_index)];
+  shard& s = shard_for(key);
   adaptive_attempt result;
-  // Stack command, empty key: assembling it allocates nothing until a
-  // consumer (recording or an armed hook) asks for the key string — the
-  // zero-subscriber fast path stays allocation-free.
-  cmd::command c;
-  bool publish = false;
-  {
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    key_state& state = state_locked(s, key);
-    state.attempts_this_epoch++;
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  key_state& state = state_locked(s, key);
+  state.attempts_this_epoch++;
 
-    result.attempt = attempt_info{state.entry, state.attempts_this_epoch,
-                                  state.last_epoch_attempts};
-    // Contention observed (a rival already attempted this epoch, or the
-    // previous epoch was contended): no CAS, the caller runs the
-    // protocol.
-    if (state.attempts_this_epoch != 1 || state.last_epoch_attempts > 1) {
-      return result;
-    }
-    result.fast_attempted = true;
-    // The protocol path's stop() gate lives in service::submit(); the
-    // fast path never submits, so it must refuse here. shutdown() stores
-    // the flag before briefly taking every shard mutex, so once it has
-    // returned, any later fast claim (which holds this shard's mutex)
-    // observes the flag — a completed stop() can never be followed by a
-    // fast-path grant.
-    if (shutdown_.load(std::memory_order_relaxed)) {
-      result.fast = {fast_claim_outcome::shutdown, {}};
-      return result;
-    }
-    if (state.mode == grant_mode::protocol_armed) {
-      // An election is (or was) running for this epoch: the fast path
-      // must stay off it — the protocol's winner owns the grant.
-      result.fast = {fast_claim_outcome::armed, {}};
-      return result;
-    }
-    if (state.leader != -1) {
-      result.fast = {fast_claim_outcome::held, {}};
-      return result;
-    }
-    // Decision made — the CAS wins. Emit the grant as a command and let
-    // the funnel execute it.
-    c.shard = shard_index;
-    c.kind = cmd::command_kind::acquire_granted;
-    c.session = session;
-    c.epoch = state.entry.epoch;
-    c.mode = cmd::grant_mode_fast_claimed;
-    c.at_ms = logical_now_ms();
-    c.lease_ms = lease_ms_for(ttl);
-    publish = hook_live();
-    if (publish || recording_.load(std::memory_order_relaxed)) c.key = key;
-    apply_command_locked(s, state, c, /*from_replay=*/false);
-    result.fast = {fast_claim_outcome::claimed, state.lease_deadline};
+  result.attempt = attempt_info{state.entry, state.attempts_this_epoch,
+                                state.last_epoch_attempts};
+  // Contention observed (a rival already attempted this epoch, or the
+  // previous epoch was contended): no CAS, the caller runs the protocol.
+  if (state.attempts_this_epoch != 1 || state.last_epoch_attempts > 1) {
+    return result;
   }
-  // Grants publish like any other mutation, outside the shard lock.
-  if (publish) hook_(c);
+  result.fast_attempted = true;
+  // The protocol path's stop() gate lives in service::submit(); the fast
+  // path never submits, so it must refuse here. shutdown() stores the
+  // flag before briefly taking every shard mutex, so once it has
+  // returned, any later fast claim (which holds this shard's mutex)
+  // observes the flag — a completed stop() can never be followed by a
+  // fast-path grant.
+  if (shutdown_.load(std::memory_order_relaxed)) {
+    result.fast = {fast_claim_outcome::shutdown, {}};
+    return result;
+  }
+  if (state.mode == grant_mode::protocol_armed) {
+    // An election is (or was) running for this epoch: the fast path must
+    // stay off it — the protocol's winner owns the grant.
+    result.fast = {fast_claim_outcome::armed, {}};
+    return result;
+  }
+  if (state.leader != -1) {
+    result.fast = {fast_claim_outcome::held, {}};
+    return result;
+  }
+  // Decision made — the CAS wins. Emit the grant as a command and let
+  // the funnel execute it.
+  emit_locked(s, state, key,
+              {.kind = cmd::command_kind::acquire_granted, .session = session,
+               .epoch = state.entry.epoch, .mode = cmd::grant_mode_fast_claimed,
+               .at_ms = logical_now_ms(), .lease_ms = lease_ms_for(ttl)});
+  result.fast = {fast_claim_outcome::claimed, state.lease_deadline};
   return result;
 }
 
@@ -283,36 +282,22 @@ bool instance_registry::arm_protocol(const std::string& key,
 std::optional<instance_registry::clock::time_point>
 instance_registry::claim_win(const std::string& key, std::uint64_t epoch,
                              int session, clock::duration ttl) {
-  const int shard_index = shard_of(key);
-  shard& s = *shards_[static_cast<std::size_t>(shard_index)];
-  clock::time_point deadline;
-  cmd::command c;
-  bool publish = false;
-  {
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.keys.find(key);
-    if (it == s.keys.end() || it->second.entry.epoch != epoch) {
-      return std::nullopt;
-    }
-    key_state& state = it->second;
-    ELECT_CHECK_MSG(state.mode != grant_mode::fast_claimed,
-                    "protocol claim on a fast-claimed epoch — the fencing "
-                    "that keeps the two grant paths apart is broken");
-    if (state.leader != -1) return std::nullopt;
-    c.shard = shard_index;
-    c.kind = cmd::command_kind::acquire_granted;
-    c.session = session;
-    c.epoch = epoch;
-    c.mode = cmd::grant_mode_protocol;
-    c.at_ms = logical_now_ms();
-    c.lease_ms = lease_ms_for(ttl);
-    publish = hook_live();
-    if (publish || recording_.load(std::memory_order_relaxed)) c.key = key;
-    apply_command_locked(s, state, c, /*from_replay=*/false);
-    deadline = state.lease_deadline;
+  shard& s = shard_for(key);
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  const auto it = s.keys.find(key);
+  if (it == s.keys.end() || it->second.entry.epoch != epoch) {
+    return std::nullopt;
   }
-  if (publish) hook_(c);
-  return deadline;
+  key_state& state = it->second;
+  ELECT_CHECK_MSG(state.mode != grant_mode::fast_claimed,
+                  "protocol claim on a fast-claimed epoch — the fencing "
+                  "that keeps the two grant paths apart is broken");
+  if (state.leader != -1) return std::nullopt;
+  emit_locked(s, state, key,
+              {.kind = cmd::command_kind::acquire_granted, .session = session,
+               .epoch = epoch, .mode = cmd::grant_mode_protocol,
+               .at_ms = logical_now_ms(), .lease_ms = lease_ms_for(ttl)});
+  return state.lease_deadline;
 }
 
 int instance_registry::leader_of(const std::string& key) {
@@ -330,37 +315,26 @@ instance_registry::lease_deadline_of(const std::string& key) {
   return it->second.lease_deadline;
 }
 
-std::optional<cmd::command> instance_registry::fence_after_end_locked(
-    shard& s, key_state& state, const std::string& key,
-    std::int32_t shard_index, std::uint64_t at_ms) {
-  if (state.pending_fence == 0) return std::nullopt;
+void instance_registry::fence_after_end_locked(shard& s, key_state& state,
+                                               const std::string& key,
+                                               std::uint64_t at_ms) {
+  if (state.pending_fence == 0) return;
   // The ended epoch's bump just ran: the key sits at E+1 unheld. The
   // deposed primary's uncommitted tail could have journaled grants a
   // few epochs past E; jumping to E+pending_fence+1 clears them the
   // same way restore-time fencing clears a crash gap.
-  cmd::command c;
-  c.shard = shard_index;
-  c.kind = cmd::command_kind::epoch_bumped;
-  c.session = -1;
-  c.epoch = state.entry.epoch + (state.pending_fence - 1);
-  c.at_ms = at_ms;
+  const std::uint64_t through = state.entry.epoch + (state.pending_fence - 1);
   state.pending_fence = 0;
-  const bool publish = hook_live();
-  if (publish || recording_.load(std::memory_order_relaxed)) c.key = key;
-  apply_command_locked(s, state, c, /*from_replay=*/false);
-  if (!publish) return std::nullopt;
-  return c;
+  emit_locked(s, state, key,
+              {.kind = cmd::command_kind::epoch_bumped, .session = -1,
+               .epoch = through, .at_ms = at_ms});
 }
 
 template <typename Refuse>
 lease_status instance_registry::end_epoch(const std::string& key,
                                           cmd::command_kind kind,
                                           Refuse refuse) {
-  const int shard_index = shard_of(key);
-  shard& s = *shards_[static_cast<std::size_t>(shard_index)];
-  cmd::command c;
-  bool publish = false;
-  std::optional<cmd::command> fenced;
+  shard& s = shard_for(key);
   wake_list wakes;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
@@ -368,20 +342,15 @@ lease_status instance_registry::end_epoch(const std::string& key,
     const lease_status verdict =
         refuse(it == s.keys.end() ? nullptr : &it->second);
     if (verdict != lease_status::ok) return verdict;
-    c.shard = shard_index;
-    c.kind = kind;
-    c.session = it->second.leader;
-    c.epoch = it->second.entry.epoch;
-    c.at_ms = logical_now_ms();
-    publish = hook_live();
-    if (publish || recording_.load(std::memory_order_relaxed)) c.key = key;
-    apply_command_locked(s, it->second, c, /*from_replay=*/false);
-    fenced = fence_after_end_locked(s, it->second, key, shard_index, c.at_ms);
+    key_state& state = it->second;
+    const std::uint64_t at = logical_now_ms();
+    emit_locked(s, state, key,
+                {.kind = kind, .session = state.leader,
+                 .epoch = state.entry.epoch, .at_ms = at});
+    fence_after_end_locked(s, state, key, at);
     take_waiters_locked(s, key, wakes);
   }
   for (auto& wake : wakes) wake();
-  if (publish) hook_(c);
-  if (fenced.has_value()) hook_(*fenced);
   return lease_status::ok;
 }
 
@@ -426,8 +395,7 @@ lease_status instance_registry::release(const std::string& key, int session) {
 lease_status instance_registry::renew(const std::string& key, int session,
                                       std::uint64_t epoch,
                                       clock::duration ttl) {
-  const int shard_index = shard_of(key);
-  shard& s = *shards_[static_cast<std::size_t>(shard_index)];
+  shard& s = shard_for(key);
   const std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.keys.find(key);
   if (it == s.keys.end()) {
@@ -436,17 +404,10 @@ lease_status instance_registry::renew(const std::string& key, int session,
   }
   if (it->second.entry.epoch != epoch) return lease_status::stale_epoch;
   if (it->second.leader != session) return lease_status::not_leader;
-  // Renewals move no leadership: logged for replay (the deadline is
-  // state), but not published through the hook.
-  cmd::command c;
-  c.shard = shard_index;
-  c.kind = cmd::command_kind::renewed;
-  c.session = session;
-  c.epoch = epoch;
-  c.at_ms = logical_now_ms();
-  c.lease_ms = lease_ms_for(ttl);
-  if (recording_.load(std::memory_order_relaxed)) c.key = key;
-  apply_command_locked(s, it->second, c, /*from_replay=*/false);
+  emit_locked(s, it->second, key,
+              {.kind = cmd::command_kind::renewed, .session = session,
+               .epoch = epoch, .at_ms = logical_now_ms(),
+               .lease_ms = lease_ms_for(ttl)});
   return lease_status::ok;
 }
 
@@ -454,36 +415,19 @@ std::size_t instance_registry::bump_matching(
     const std::function<bool(const key_state&)>& predicate,
     const std::function<void(int)>& on_bumped, cmd::command_kind kind) {
   std::size_t bumped = 0;
-  /// Commands emitted this shard — executed under the shard lock,
-  /// published after it.
-  std::vector<cmd::command> events;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard& s = *shards_[i];
     wake_list wakes;  // the bumped keys' waiters
-    // Sampled once per shard: a watcher subscribing mid-scan may miss
-    // this sweep's transitions, which the delivery bound tolerates (its
-    // clock starts at subscription).
-    const bool publish = hook_live();
-    const bool record = recording_.load(std::memory_order_relaxed);
     std::size_t bumped_here = 0;
     {
       const std::lock_guard<std::mutex> lock(s.mutex);
       const std::uint64_t at = logical_now_ms();
       for (auto& [key, state] : s.keys) {
         if (!predicate(state)) continue;
-        cmd::command c;
-        c.shard = static_cast<std::int32_t>(i);
-        c.kind = kind;
-        c.session = state.leader;
-        c.epoch = state.entry.epoch;
-        c.at_ms = at;
-        if (publish || record) c.key = key;
-        apply_command_locked(s, state, c, /*from_replay=*/false);
-        if (publish) events.push_back(std::move(c));
-        if (auto fenced = fence_after_end_locked(
-                s, state, key, static_cast<std::int32_t>(i), at)) {
-          events.push_back(std::move(*fenced));
-        }
+        emit_locked(s, state, key,
+                    {.kind = kind, .session = state.leader,
+                     .epoch = state.entry.epoch, .at_ms = at});
+        fence_after_end_locked(s, state, key, at);
         take_waiters_locked(s, key, wakes);
         ++bumped_here;
       }
@@ -496,8 +440,6 @@ std::size_t instance_registry::bump_matching(
         on_bumped(static_cast<int>(i));
       }
     }
-    for (const cmd::command& c : events) hook_(c);
-    events.clear();
   }
   return bumped;
 }
@@ -598,31 +540,63 @@ std::size_t instance_registry::sweep_expired(
       on_expired, cmd::command_kind::expired);
 }
 
-std::vector<cmd::command> instance_registry::collect_commands() const {
-  std::vector<cmd::command> out;
-  for (const auto& shard_ptr : shards_) {
+std::uint64_t instance_registry::open_cursor() {
+  const std::uint64_t id = next_cursor_.fetch_add(1);
+  for (auto& shard_ptr : shards_) {
     const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    out.insert(out.end(), shard_ptr->log.begin(), shard_ptr->log.end());
+    shard_ptr->cursors.emplace_back(id, shard_ptr->last_seq);
   }
-  return out;
+  return id;
 }
 
-std::vector<cmd::command> instance_registry::collect_commands_after(
-    const std::vector<std::uint64_t>& floors) const {
-  ELECT_CHECK_MSG(floors.size() == shards_.size(),
-                  "collect_commands_after: one floor per shard");
-  std::vector<cmd::command> out;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const shard& s = *shards_[i];
-    const std::uint64_t floor = floors[i];
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    // The retained log is in seq order (append order); skip the shipped
-    // prefix with a binary search instead of rescanning it every drain.
-    const auto first = std::lower_bound(
-        s.log.begin(), s.log.end(), floor,
-        [](const cmd::command& c, std::uint64_t f) { return c.seq <= f; });
-    out.insert(out.end(), first, s.log.end());
+void instance_registry::close_cursor(std::uint64_t id) {
+  for (auto& shard_ptr : shards_) {
+    const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+    std::erase_if(shard_ptr->cursors,
+                  [id](const auto& c) { return c.first == id; });
+    trim_locked(*shard_ptr);
   }
+}
+
+void instance_registry::copy_locked(const shard& s, std::uint64_t after,
+                                    std::uint64_t through, std::size_t max,
+                                    std::vector<cmd::command>& out) {
+  // The log is in seq order: skip what was read with a binary search
+  // instead of rescanning it.
+  auto it = std::upper_bound(
+      s.log.begin(), s.log.end(), after,
+      [](std::uint64_t seq, const cmd::command& c) { return seq < c.seq; });
+  for (; it != s.log.end() && it->seq <= through && max-- > 0; ++it) {
+    out.push_back(*it);
+  }
+}
+
+void instance_registry::read_cursor(std::uint64_t id, int shard_index,
+                                    bool committed_only,
+                                    std::vector<cmd::command>& out) {
+  for (auto& shard_ptr : shards_) {
+    shard& s = *shard_ptr;
+    if (shard_index >= 0 && s.index != shard_index) continue;
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    const auto cursor = std::find_if(
+        s.cursors.begin(), s.cursors.end(),
+        [id](const auto& c) { return c.first == id; });
+    ELECT_CHECK_MSG(cursor != s.cursors.end(), "read_cursor: unknown cursor");
+    const std::uint64_t through =
+        committed_only ? s.committed_seq : s.last_seq;
+    copy_locked(s, cursor->second, through, SIZE_MAX, out);
+    cursor->second = std::max(cursor->second, through);
+    trim_locked(s);
+  }
+}
+
+std::vector<cmd::command> instance_registry::read_log(int shard_index,
+                                                      std::uint64_t after,
+                                                      std::size_t max) const {
+  const shard& s = *shards_[static_cast<std::size_t>(shard_index)];
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  std::vector<cmd::command> out;
+  copy_locked(s, after, s.committed_seq, max, out);
   return out;
 }
 
@@ -634,11 +608,27 @@ std::uint64_t instance_registry::shard_last_seq(int shard_index) const {
   return s.last_seq;
 }
 
+std::uint64_t instance_registry::committed_seq(int shard_index) const {
+  const shard& s = *shards_[static_cast<std::size_t>(shard_index)];
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  return s.committed_seq;
+}
+
+void instance_registry::commit_manually() {
+  manual_commit_.store(true, std::memory_order_relaxed);
+}
+
+void instance_registry::commit_through(int shard_index, std::uint64_t seq) {
+  shard& s = *shards_[static_cast<std::size_t>(shard_index)];
+  const std::lock_guard<std::mutex> lock(s.mutex);
+  s.committed_seq = std::max(s.committed_seq, seq);
+}
+
 cmd::log_stats instance_registry::log_stats() const {
   cmd::log_stats stats;
-  stats.recording = recording_.load(std::memory_order_relaxed);
   for (const auto& shard_ptr : shards_) {
     const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+    stats.recording = stats.recording || !shard_ptr->cursors.empty();
     stats.recorded += shard_ptr->next_seq - 1;
     stats.retained += shard_ptr->log.size();
   }
@@ -654,29 +644,28 @@ std::optional<std::string> instance_registry::apply(const cmd::command& c) {
            " here — replaying into a registry with a different shard count?";
   }
   shard& s = *shards_[static_cast<std::size_t>(shard_index)];
-  cmd::command local = c;
   wake_list wakes;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
-    if (local.seq != 0 && s.last_seq != 0 && local.seq != s.last_seq + 1) {
+    if (c.seq != 0 && s.last_seq != 0 && c.seq != s.last_seq + 1) {
       return "sequence gap in shard " + std::to_string(shard_index) +
              ": expected seq " + std::to_string(s.last_seq + 1) + ", got " +
-             std::to_string(local.seq);
+             std::to_string(c.seq);
     }
-    key_state& state = state_locked(s, local.key);
+    key_state& state = state_locked(s, c.key);
     const auto epoch_mismatch = [&]() -> std::string {
-      return std::string(cmd::to_string(local.kind)) + " for '" + local.key +
-             "' claims epoch " + std::to_string(local.epoch) +
+      return std::string(cmd::to_string(c.kind)) + " for '" + c.key +
+             "' claims epoch " + std::to_string(c.epoch) +
              " but the key is at epoch " +
              std::to_string(state.entry.epoch) +
              " — corrupt or mis-ordered stream";
     };
-    switch (local.kind) {
+    switch (c.kind) {
       case cmd::command_kind::acquire_granted:
-        if (state.entry.epoch != local.epoch) return epoch_mismatch();
+        if (state.entry.epoch != c.epoch) return epoch_mismatch();
         if (state.leader != -1) {
-          return "acquire_granted for '" + local.key + "' epoch " +
-                 std::to_string(local.epoch) +
+          return "acquire_granted for '" + c.key + "' epoch " +
+                 std::to_string(c.epoch) +
                  " but the epoch is already held by session " +
                  std::to_string(state.leader);
         }
@@ -686,11 +675,11 @@ std::optional<std::string> instance_registry::apply(const cmd::command& c) {
       case cmd::command_kind::expired:
       case cmd::command_kind::force_released:
       case cmd::command_kind::disconnect_reclaimed:
-        if (state.entry.epoch != local.epoch) return epoch_mismatch();
-        if (state.leader != local.session) {
-          return std::string(cmd::to_string(local.kind)) + " for '" +
-                 local.key + "' names holder " +
-                 std::to_string(local.session) + " but the holder is " +
+        if (state.entry.epoch != c.epoch) return epoch_mismatch();
+        if (state.leader != c.session) {
+          return std::string(cmd::to_string(c.kind)) + " for '" +
+                 c.key + "' names holder " +
+                 std::to_string(c.session) + " but the holder is " +
                  std::to_string(state.leader);
         }
         break;
@@ -698,14 +687,18 @@ std::optional<std::string> instance_registry::apply(const cmd::command& c) {
         // Forward jumps are legal (restore fencing records the highest
         // epoch the bump ends, which may exceed the current one); only
         // a bump that would move the epoch backwards is corruption.
-        if (local.epoch < state.entry.epoch) return epoch_mismatch();
+        if (c.epoch < state.entry.epoch) return epoch_mismatch();
         break;
     }
-    apply_command_locked(s, state, local, /*from_replay=*/true);
+    execute_locked(s, state, c);
+    // Replayed commands keep their recorded seq; advancing the watermark
+    // (instead of re-appending) is what makes a post-replay snapshot
+    // byte-identical to the recorder's.
+    if (c.seq != 0) advance_locked(s, c.seq);
     // Every kind but a grant or a renewal ends the epoch.
-    if (local.kind != cmd::command_kind::acquire_granted &&
-        local.kind != cmd::command_kind::renewed) {
-      take_waiters_locked(s, local.key, wakes);
+    if (c.kind != cmd::command_kind::acquire_granted &&
+        c.kind != cmd::command_kind::renewed) {
+      take_waiters_locked(s, c.key, wakes);
     }
   }
   for (auto& wake : wakes) wake();
@@ -721,6 +714,7 @@ std::optional<std::string> instance_registry::replay(
 }
 
 std::vector<std::uint8_t> instance_registry::snapshot(bool trim_log) {
+  const std::uint64_t history = trim_log ? history_.load() : 0;
   cmd::snapshot_data data;
   data.shards.resize(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -753,12 +747,12 @@ std::vector<std::uint8_t> instance_registry::snapshot(bool trim_log) {
               [](const cmd::snapshot_key& a, const cmd::snapshot_key& b) {
                 return a.key < b.key;
               });
-    if (trim_log) {
-      // The snapshot covers everything up to last_seq — which is every
-      // retained entry — so the log's job is done; drop it.
-      s.log.clear();
-      s.log.shrink_to_fit();
+    // With trim_log the snapshot covers everything up to last_seq: the
+    // history has read it all. Entries another cursor still needs stay.
+    for (auto& [id, pos] : s.cursors) {
+      if (id == history) pos = s.last_seq;
     }
+    trim_locked(s);
   }
   return cmd::encode_snapshot(data);
 }
@@ -781,16 +775,11 @@ std::optional<std::string> instance_registry::restore(
   }
   const std::uint64_t logical = logical_now_ms();
   const clock::time_point now = clock::now();
-  /// Fence bumps, published after all shard locks are released.
-  std::vector<cmd::command> fenced;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard& s = *shards_[i];
     const cmd::snapshot_shard& in = data.shards[i];
-    const bool publish = hook_live();
-    const bool record = recording_.load(std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(s.mutex);
-    s.last_seq = in.last_seq;
-    s.next_seq = in.last_seq + 1;
+    rebase_locked(s, in.last_seq);
     s.last_at_ms = logical;
     for (const cmd::snapshot_key& k : in.keys) {
       if (shard_of(k.key) != static_cast<int>(i)) {
@@ -822,15 +811,10 @@ std::optional<std::string> instance_registry::restore(
         // and it re-acquires like everyone else. The bump ends epochs
         // up to restored + (fence_bump - 1), jumping clear of grants
         // the crash gap may have issued past the snapshot.
-        cmd::command c;
-        c.shard = static_cast<std::int32_t>(i);
-        c.kind = cmd::command_kind::epoch_bumped;
-        c.session = -1;
-        c.epoch = state.entry.epoch + (fence_bump - 1);
-        c.at_ms = logical;
-        if (publish || record) c.key = k.key;
-        apply_command_locked(s, state, c, /*from_replay=*/false);
-        if (publish) fenced.push_back(std::move(c));
+        emit_locked(s, state, k.key,
+                    {.kind = cmd::command_kind::epoch_bumped, .session = -1,
+                     .epoch = state.entry.epoch + (fence_bump - 1),
+                     .at_ms = logical});
       }
     }
   }
@@ -838,7 +822,6 @@ std::optional<std::string> instance_registry::restore(
     // Restore requires an empty registry, so every waiter is on a key
     // this fence just moved or on one nobody ever acquired.
     wake_all();
-    for (const cmd::command& c : fenced) hook_(c);
   }
   return std::nullopt;
 }
@@ -853,10 +836,7 @@ std::optional<std::string> instance_registry::install_snapshot(
     shard& s = *shard_ptr;
     const std::lock_guard<std::mutex> lock(s.mutex);
     s.keys.clear();
-    s.log.clear();
-    s.log.shrink_to_fit();
-    s.next_seq = 1;
-    s.last_seq = 0;
+    rebase_locked(s, 0);
     s.last_at_ms = 0;
   }
   const auto error = restore(bytes, /*fence_restored=*/false);
@@ -868,12 +848,9 @@ std::optional<std::string> instance_registry::install_snapshot(
 std::size_t instance_registry::fence_all(std::uint64_t bump) {
   ELECT_CHECK_MSG(bump >= 1, "fence_all: bump must be >= 1");
   std::size_t fenced = 0;
-  std::vector<cmd::command> events;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard& s = *shards_[i];
     wake_list wakes;
-    const bool publish = hook_live();
-    const bool record = recording_.load(std::memory_order_relaxed);
     std::size_t fenced_here = 0;
     {
       const std::lock_guard<std::mutex> lock(s.mutex);
@@ -891,24 +868,15 @@ std::size_t instance_registry::fence_all(std::uint64_t bump) {
         // Unheld (epoch 0 included — first grants are epoch 0): jump
         // now. Ends epochs <= current + (bump - 1), same arithmetic as
         // restore-time fencing.
-        cmd::command c;
-        c.shard = static_cast<std::int32_t>(i);
-        c.kind = cmd::command_kind::epoch_bumped;
-        c.session = -1;
-        c.epoch = state.entry.epoch + (bump - 1);
-        c.at_ms = at;
-        if (publish || record) c.key = key;
-        apply_command_locked(s, state, c, /*from_replay=*/false);
-        if (publish) events.push_back(std::move(c));
+        emit_locked(s, state, key,
+                    {.kind = cmd::command_kind::epoch_bumped, .session = -1,
+                     .epoch = state.entry.epoch + (bump - 1), .at_ms = at});
         take_waiters_locked(s, key, wakes);
         ++fenced_here;
       }
     }
-    if (fenced_here == 0) continue;
     for (auto& wake : wakes) wake();
     fenced += fenced_here;
-    for (const cmd::command& c : events) hook_(c);
-    events.clear();
   }
   return fenced;
 }

@@ -34,12 +34,23 @@
 // sweeper, disconnect reclaim, admin force-release — funnels through one
 // deterministic executor: the call path decides (who wins, what
 // expires), builds a cmd::command describing the decision, and
-// apply_command_locked executes it. The same executor serves apply() /
-// replay(), so a recorded command stream folded into a fresh registry
+// execute_locked runs it. The same executor serves apply() / replay(),
+// so a recorded command stream folded into a fresh registry
 // reconstructs the same epochs, holders, modes, and (logical) lease
 // deadlines — see snapshot()/restore() and src/cmd/. Non-mutating
 // observations (attempt counters, arm_protocol's mode latch) stay
 // outside the stream; snapshots exclude them.
+//
+// Each shard's command log is the one record of what it executed.
+// Everything downstream reads it through cursors — per-shard seq
+// positions that advance as they read: the replication drain, the
+// service's observer feed (watch events and journal records), and the
+// history behind record_commands, which snapshot(trim_log=true)
+// advances. The log records only while a cursor is open, and an entry
+// leaves it only once every open cursor has read it. A commit
+// watermark per shard bounds what observers may read: it follows the
+// last executed command on a standalone registry, and the replication
+// layer moves it on a cluster member (commit_manually()).
 //
 // Each begin_attempt() is counted per epoch; the count (plus the final
 // count of the previous epoch) is the contention estimate the adaptive
@@ -58,6 +69,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -65,6 +77,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cmd/command.hpp"
@@ -363,40 +376,60 @@ class instance_registry {
   /// Instance ids still allocatable before the fail-fast guard trips.
   [[nodiscard]] std::uint64_t remaining_instance_ids() const noexcept;
 
-  // --- The command stream (src/cmd/) ------------------------------------
+  // --- The command log and its cursors (src/cmd/) ------------------------
 
-  /// Start appending every mutation to the per-shard command log. Must
-  /// be called before the registry sees concurrent traffic (the service
-  /// enables it at construction when configured); commands emitted
-  /// before are lost, which is fine for a fresh registry. Off by
-  /// default: with recording off and no hook armed, the mutation paths
-  /// assemble no command payloads — the adaptive fast path stays at its
-  /// zero-allocation cost.
+  /// Open the history cursor behind record_commands: every later
+  /// mutation stays in the log until snapshot(trim_log=true) covers it.
+  /// Call before the registry sees concurrent traffic (the service does
+  /// at construction when configured); idempotent.
   void enable_command_log();
 
+  /// Is the history cursor open?
   [[nodiscard]] bool command_log_enabled() const noexcept {
-    return recording_.load(std::memory_order_relaxed);
+    return history_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Every retained command, shard by shard (each shard's slice in seq
-  /// order; cross-shard interleaving is unobservable — keys never
-  /// migrate). Feed to replay().
-  [[nodiscard]] std::vector<cmd::command> collect_commands() const;
+  /// Open a cursor positioned at every shard's last executed command:
+  /// it reads what executes from now on. While any cursor is open the
+  /// live mutation paths append to the log; with none open they build
+  /// no command payload at all. Returns the cursor id (never 0).
+  [[nodiscard]] std::uint64_t open_cursor();
 
-  /// Retained commands with seq > floors[shard], shard by shard in seq
-  /// order — the incremental form of collect_commands(). `floors` must
-  /// have shard_count() entries. The replication layer drains new
-  /// commands with it: per-shard floors advance monotonically, so each
-  /// command is shipped exactly once even though the log is also
-  /// consulted by snapshots.
-  [[nodiscard]] std::vector<cmd::command> collect_commands_after(
-      const std::vector<std::uint64_t>& floors) const;
+  /// Close a cursor. Whatever only it still needed leaves the log; with
+  /// no cursor left the log is empty and stops recording.
+  void close_cursor(std::uint64_t id);
+
+  /// Append cursor `id`'s unread commands of `shard` (-1: of every
+  /// shard, shard by shard) to `out` in seq order — through the commit
+  /// watermark when `committed_only`, else through the last executed
+  /// command — move the cursor past them, and drop every entry all open
+  /// cursors have now read.
+  void read_cursor(std::uint64_t id, int shard, bool committed_only,
+                   std::vector<cmd::command>& out);
+
+  /// Up to `max` retained committed commands of `shard` with seq >
+  /// `after`, in seq order: a read from a caller-held position that
+  /// pins nothing (admin paging, replay tooling). Feed to replay().
+  [[nodiscard]] std::vector<cmd::command> read_log(int shard,
+                                                   std::uint64_t after,
+                                                   std::size_t max) const;
 
   /// The shard's command-stream watermark: seq of the last command
   /// executed there (live or replayed). The cluster primary samples it
   /// right after a mutation to learn what the commit-before-ack gate
   /// must wait for.
   [[nodiscard]] std::uint64_t shard_last_seq(int shard) const;
+
+  /// The shard's commit watermark: the seq observers may read through.
+  [[nodiscard]] std::uint64_t committed_seq(int shard) const;
+
+  /// Stop the commit watermark following shard_last_seq(): from now on
+  /// only commit_through() (and an installed snapshot) moves it. A
+  /// cluster member's repl::node calls this before serving.
+  void commit_manually();
+
+  /// Raise `shard`'s commit watermark to `seq` (never lowers it).
+  void commit_through(int shard, std::uint64_t seq);
 
   /// Command-log accounting (recorded lifetime vs retained in memory).
   [[nodiscard]] cmd::log_stats log_stats() const;
@@ -409,7 +442,7 @@ class instance_registry {
   /// error string (state untouched) on any mismatch; commands are never
   /// re-appended to the replaying registry's own log (the watermark
   /// advances to `c.seq` instead, so a later snapshot matches the
-  /// recorder's).
+  /// recorder's) — a replica's stream is the one it replays.
   [[nodiscard]] std::optional<std::string> apply(const cmd::command& c);
 
   /// Fold a command stream into this registry: apply() in order,
@@ -422,9 +455,10 @@ class instance_registry {
 
   /// Serialize the replayable state (see src/cmd/snapshot.hpp for the
   /// format and the normalizations that make two equivalent registries
-  /// encode byte-identically). With `trim_log`, retained commands
-  /// covered by this snapshot are dropped afterwards — the snapshot is
-  /// their compaction — bounding log memory for long-running servers.
+  /// encode byte-identically). With `trim_log`, the history cursor
+  /// moves past every command this snapshot covers — the snapshot is
+  /// their compaction — so they leave the log once every other cursor
+  /// has read them too; an unshipped or unrendered command stays.
   [[nodiscard]] std::vector<std::uint8_t> snapshot(bool trim_log = false);
 
   /// Load a snapshot into this (required: empty) registry. Remaining
@@ -452,10 +486,12 @@ class instance_registry {
   /// restore() for a registry that already holds state: drop every key,
   /// log entry, and watermark, then load `bytes` without fencing. The
   /// replication layer installs a primary's snapshot on a lagging or
-  /// diverged follower with it — the snapshot IS the authoritative
-  /// state, so nothing local survives (every parked waiter is woken and
-  /// retries against the installed state). Same error conditions as
-  /// restore(); on error the registry is left cleared, not torn.
+  /// diverged follower with it — the snapshot IS the authoritative,
+  /// committed state, so nothing local survives (every parked waiter is
+  /// woken and retries against the installed state; every cursor and
+  /// the commit watermark restart at the snapshot). Same error
+  /// conditions as restore(); on error the registry is left cleared,
+  /// not torn.
   [[nodiscard]] std::optional<std::string> install_snapshot(
       const std::vector<std::uint8_t>& bytes);
 
@@ -473,21 +509,6 @@ class instance_registry {
   /// pending bump lands is covered by its successor's own fence_all().
   /// Returns the number of keys fenced (immediately or pending).
   std::size_t fence_all(std::uint64_t bump);
-
-  /// Invoked (under no lock) once per mutation the watch/journal layers
-  /// render: every command kind except `renewed` (a renewal moves no
-  /// leadership; it is recorded in the log only).
-  using command_hook = std::function<void(const cmd::command&)>;
-
-  /// Install the command hook. `armed` is a cheap publish gate the
-  /// hook's owner keeps current (true iff anyone is listening): the
-  /// registry skips the hook entirely — no command assembly, no
-  /// function call — while it reads false, which keeps the adaptive
-  /// fast path at its zero-subscriber cost. Must be called before the
-  /// registry sees concurrent traffic (the service installs it at
-  /// construction); the hook runs on whichever thread performed the
-  /// mutation.
-  void set_command_hook(const std::atomic<bool>& armed, command_hook hook);
 
  private:
   /// How the current epoch has been (or may be) granted.
@@ -532,13 +553,18 @@ class instance_registry {
                                              std::function<void()>>>>
         waiters;
     std::uint64_t next_waiter = 1;
-    /// Retained command log (appended only while recording) and the
-    /// shard's watermark: seq/logical-time of the last command executed
-    /// here, live or replayed. All guarded by `mutex`.
-    std::vector<cmd::command> log;
+    /// The command log (appended only while a cursor is open, in seq
+    /// order), the open cursors' positions here as (id, seq read
+    /// through), and the shard's watermarks: seq/logical-time of the
+    /// last command executed here, live or replayed, and the seq
+    /// observers may read through. All guarded by `mutex`.
+    std::deque<cmd::command> log;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> cursors;
     std::uint64_t next_seq = 1;
     std::uint64_t last_seq = 0;
     std::uint64_t last_at_ms = 0;
+    std::uint64_t committed_seq = 0;
+    std::int32_t index = 0;
   };
 
   shard& shard_for(const std::string& key);
@@ -561,14 +587,28 @@ class instance_registry {
   /// command (steady deadline derived from the logical one, so live and
   /// replayed executions agree).
   void set_lease_locked(key_state& state, const cmd::command& c);
-  /// THE mutation funnel: execute `c` against `state` (deterministic
-  /// given the command), advance the shard watermark, and — live path
-  /// (`from_replay` false) while recording — assign the next seq and
-  /// append to the shard log. Caller holds the shard lock, fires the
-  /// hook / wakes waiters after unlocking. Replayed commands keep
-  /// their recorded seq and are never re-appended.
-  void apply_command_locked(shard& s, key_state& state, cmd::command& c,
-                            bool from_replay);
+  /// THE mutation funnel: execute `c` against `state` — deterministic
+  /// given the command — and advance the shard's logical clock. Shared
+  /// by the live path (emit_locked) and replay (apply). Caller holds
+  /// the shard lock and wakes waiters after unlocking.
+  void execute_locked(shard& s, key_state& state, const cmd::command& c);
+  /// The live path: execute `c`, then — while a cursor is open — give
+  /// it the shard's next seq and append it (with `key`) to the log.
+  void emit_locked(shard& s, key_state& state, const std::string& key,
+                   cmd::command c);
+  /// Append the retained commands of `s` with seq in (after, through]
+  /// to `out`, at most `max` of them (shard lock held).
+  static void copy_locked(const shard& s, std::uint64_t after,
+                          std::uint64_t through, std::size_t max,
+                          std::vector<cmd::command>& out);
+  /// Move the shard's watermark to `seq` — and, unless committing by
+  /// hand, its commit watermark with it (shard lock held).
+  void advance_locked(shard& s, std::uint64_t seq);
+  /// Drop the log prefix every open cursor has read (shard lock held).
+  static void trim_locked(shard& s);
+  /// Restart `s` at watermark `seq` with an empty log, every cursor and
+  /// the commit watermark at `seq` (snapshot install / restore).
+  static void rebase_locked(shard& s, std::uint64_t seq);
   /// Shared body of the single-key epoch-enders: end `key`'s current
   /// epoch with a `kind` command unless `refuse(state)` (under the shard
   /// lock; nullptr for a never-acquired key) returns a refusal.
@@ -581,11 +621,10 @@ class instance_registry {
                                 std::uint64_t epoch, cmd::command_kind kind);
   /// If `state` carries a pending failover fence, emit the deferred
   /// epoch_bumped now (the epoch just ended — the next grant must jump
-  /// clear of the deposed primary's uncommitted tail) and return the
-  /// command for publication. Caller holds the shard lock.
-  [[nodiscard]] std::optional<cmd::command> fence_after_end_locked(
-      shard& s, key_state& state, const std::string& key,
-      std::int32_t shard_index, std::uint64_t at_ms);
+  /// clear of the deposed primary's uncommitted tail). Caller holds the
+  /// shard lock.
+  void fence_after_end_locked(shard& s, key_state& state,
+                              const std::string& key, std::uint64_t at_ms);
   /// Scan every shard and bump every key matching `predicate` (checked
   /// under the shard lock); the bumped keys' waiters are woken per shard
   /// and `on_bumped(shard_index)` runs once per bumped key, under no lock.
@@ -595,24 +634,16 @@ class instance_registry {
   std::size_t bump_matching(const std::function<bool(const key_state&)>& predicate,
                             const std::function<void(int)>& on_bumped,
                             cmd::command_kind kind);
-  /// Is the command hook installed *and* armed right now? The gate
-  /// callers check before assembling command payloads under the shard
-  /// lock.
-  [[nodiscard]] bool hook_live() const noexcept {
-    return hook_armed_ != nullptr &&
-           hook_armed_->load(std::memory_order_relaxed);
-  }
 
   std::vector<std::unique_ptr<shard>> shards_;
   std::atomic<std::uint64_t> next_instance_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<bool> recording_{false};
+  std::atomic<std::uint64_t> next_cursor_{1};
+  /// The history cursor's id (0 = record_commands off).
+  std::atomic<std::uint64_t> history_{0};
+  std::atomic<bool> manual_commit_{false};
   /// Origin of the logical clock.
   const clock::time_point base_;
-  /// Mutation hook + its owner's publish gate (see set_command_hook).
-  /// Written once before concurrent use.
-  command_hook hook_;
-  const std::atomic<bool>* hook_armed_ = nullptr;
 };
 
 }  // namespace elect::svc

@@ -146,17 +146,15 @@ service::service(service_config config)
   if (config_.journal_events) {
     journal_ = std::make_unique<obs::journal>(config_.journal_capacity,
                                               config_.journal_path);
-    // The journal consumes every transition, so the hook must fire even
-    // with zero watch subscriptions.
-    hub_.force_arm();
+    // The journal renders every committed transition, so it reads the
+    // feed for the service's whole life, watched or not.
+    count_feed_readers(+1);
     hub_.set_drop_hook([this](const std::string& key) {
       journal_->append(obs::event_kind::watch_drop, key, 0, -1, "overflow");
     });
   }
   if (config_.record_commands) registry_.enable_command_log();
   next_session_ = config_.session_id_base;
-  registry_.set_command_hook(
-      hub_.armed(), [this](const cmd::command& c) { render_command(c); });
   for (int k = 0; k < election::strategy_kind_count; ++k) {
     strategies_[static_cast<std::size_t>(k)] =
         election::make_strategy(static_cast<election::strategy_kind>(k));
@@ -217,9 +215,10 @@ void service::stop() {
     shutdowns.push_back(std::move(j));
   }
   pool_->wait();
-  // Last: the drain above may still publish transitions (drained acquires
-  // claiming wins); stopping the hub after the pool keeps those flowing
-  // to watchers until the very end, then drops the remainder.
+  // Last: the drain above may still render transitions (drained acquires
+  // claiming wins, rendered by their callers); stopping the hub after the
+  // pool keeps those flowing to watchers until the very end, then drops
+  // the remainder.
   hub_.stop();
   // After the hub: nothing publishes transitions anymore, so the journal
   // can drain its sink and join the flusher.
@@ -227,18 +226,47 @@ void service::stop() {
 }
 
 std::uint64_t service::watch(const std::string& key, watch_hub::callback fn) {
-  return hub_.add(key, std::move(fn));
+  const std::uint64_t id = hub_.add(key, std::move(fn));
+  if (id != 0) count_feed_readers(+1);
+  return id;
 }
 
-void service::unwatch(std::uint64_t id) { hub_.remove(id); }
+void service::unwatch(std::uint64_t id) {
+  if (hub_.remove(id)) count_feed_readers(-1);
+}
+
+// ---------------------------------------------------------------------
+// The observer feed: one registry cursor, read through the commit
+// watermark, rendered into watch events and journal records.
+
+void service::count_feed_readers(int delta) {
+  const std::lock_guard<std::mutex> lock(feed_mutex_);
+  feed_readers_ += delta;
+  if (feed_readers_ != 0 && feed_ == 0) feed_ = registry_.open_cursor();
+  if (feed_readers_ == 0 && feed_ != 0) {
+    registry_.close_cursor(std::exchange(feed_, 0));
+  }
+  feed_open_.store(feed_ != 0, std::memory_order_relaxed);
+}
+
+void service::publish_committed(int shard) {
+  if (!feed_open_.load(std::memory_order_relaxed)) return;
+  const std::lock_guard<std::mutex> lock(feed_mutex_);
+  if (feed_ == 0) return;
+  registry_.read_cursor(feed_, shard, /*committed_only=*/true, feed_batch_);
+  for (const cmd::command& c : feed_batch_) render_command(c);
+  feed_batch_.clear();
+}
 
 // ---------------------------------------------------------------------
 // Lease sweeper: force-release expired holders on a fixed interval.
 
 std::size_t service::sweep_now() {
-  return registry_.sweep_expired(
+  const std::size_t expired = registry_.sweep_expired(
       std::chrono::steady_clock::now(),
       [this](int shard) { metrics_.record_expiration(shard); });
+  if (expired != 0) publish_committed();
+  return expired;
 }
 
 lease_status service::force_release(const std::string& key) {
@@ -251,7 +279,8 @@ lease_status service::force_release(const std::string& key) {
 
 void service::render_command(const cmd::command& c) {
   // One source of truth: watch events and journal records are both
-  // renderings of the command stream, never parallel bookkeeping.
+  // renderings of the committed command stream, never parallel
+  // bookkeeping.
   switch (c.kind) {
     case cmd::command_kind::acquire_granted:
       hub_.publish(c.key, c.epoch, transition::elected, c.session);
@@ -299,7 +328,7 @@ void service::render_command(const cmd::command& c) {
       }
       break;
     case cmd::command_kind::renewed:
-      // Log-only; the registry never publishes renewals.
+      // A renewal moves no leadership: nothing to render.
       break;
   }
 }
@@ -322,33 +351,40 @@ void service::sweeper_main() {
 // ---------------------------------------------------------------------
 // Commit gating: in cluster mode no mutation is acked before a quorum
 // has it. The gate itself lives in the repl layer; the service only
-// converts a failed wait into the sever verdict.
+// converts a failed wait into the sever verdict, then renders whatever
+// committed.
 
 acquire_result service::gate_acquire(acquire_result result,
                                      const std::string& key, int session_id) {
-  if (!result.won || !commit_gate_ || commit_gate_(key)) return result;
-  // The grant applied locally but never reached a quorum: this primary
-  // may not confirm it, so nobody believes they hold it. Revoke exactly
-  // this (session, epoch) instead of leaving it live until TTL,
-  // disconnect or failover; ungated, it replicates like any command.
-  (void)registry_.reclaim(key, session_id, result.epoch);
-  result.won = false;
-  result.fast_path = false;
-  result.rejected = true;
-  result.connection_lost = true;
+  if (!result.won) return result;
+  if (commit_gate_ && !commit_gate_(key)) {
+    // The grant applied locally but never reached a quorum: this
+    // primary may not confirm it, so nobody believes they hold it.
+    // Revoke exactly this (session, epoch) instead of leaving it live
+    // until TTL, disconnect or failover; ungated, it replicates like
+    // any command — and observers see neither until both commit.
+    (void)registry_.reclaim(key, session_id, result.epoch);
+    result.won = false;
+    result.fast_path = false;
+    result.rejected = true;
+    result.connection_lost = true;
+  }
+  publish_committed(registry_.shard_of(key));
   return result;
 }
 
 lease_status service::gate_lease_op(const std::string& key,
                                     lease_status status) {
-  if (status != lease_status::ok || !commit_gate_ || commit_gate_(key)) {
-    return status;
-  }
-  return lease_status::connection_lost;
+  if (status != lease_status::ok) return status;
+  const bool committed = !commit_gate_ || commit_gate_(key);
+  publish_committed(registry_.shard_of(key));
+  return committed ? status : lease_status::connection_lost;
 }
 
 std::size_t service::gate_multi_release(std::size_t count) {
-  if (count != 0 && commit_gate_) commit_gate_(std::string());
+  if (count == 0) return count;
+  if (commit_gate_) commit_gate_(std::string());
+  publish_committed();
   return count;
 }
 

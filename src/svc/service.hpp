@@ -113,11 +113,13 @@ struct service_config {
   std::string journal_path;
   /// In-memory journal ring capacity (and the sink's backlog bound).
   std::size_t journal_capacity = 4096;
-  /// Record every registry mutation to the per-shard command log
-  /// (src/cmd/): the replayable stream behind registry().snapshot() /
-  /// collect_commands(). Off by default — recording copies each
-  /// command (key string included) into the log, which the adaptive
-  /// fast path otherwise never pays for.
+  /// Keep every registry mutation in the per-shard command log
+  /// (src/cmd/) until a snapshot(trim_log=true) covers it: the
+  /// replayable history behind registry().snapshot() and the
+  /// admin_commands pages (it opens the registry's history cursor). Off
+  /// by default — recording copies each command (key string included)
+  /// into the log, which the adaptive fast path otherwise never pays
+  /// for while nobody reads the log.
   bool record_commands = false;
   /// First session id this service hands out. Cluster members set a
   /// disjoint per-node base (repl: self << 24) so a lease replicated
@@ -294,7 +296,9 @@ class service {
   /// expired / force_released). Returns the subscription id, 0 once the
   /// service stopped.
   /// Delivery semantics per svc/watch.hpp: asynchronous on the hub's
-  /// notifier thread, per-key ordering, no cross-key ordering; a
+  /// notifier thread, per-key seq order, no cross-key ordering; only
+  /// committed transitions are delivered (in cluster mode a grant shows
+  /// once a quorum holds it, never one its acquirer was refused); a
   /// transition is observable within the lease TTL + sweep interval of
   /// the holder misbehaving (expiry is what bounds a silent crash).
   [[nodiscard]] std::uint64_t watch(const std::string& key,
@@ -303,14 +307,23 @@ class service {
   /// Cancel a subscription; after return the callback never runs again.
   void unwatch(std::uint64_t id);
 
+  /// Render every committed command the observer feed has not rendered
+  /// yet (on `shard`, or on every shard for -1) into watch events and
+  /// journal records. The service calls it after each of its own
+  /// mutations; the replication layer calls it after commits move
+  /// without a client waiting on them (expiries, a promotion's fence),
+  /// and an embedder after mutating the registry directly (a restore's
+  /// fence). A no-op while nobody watches and the journal is off.
+  void publish_committed(int shard = -1);
+
   /// Snapshot of service + pool metrics (per-shard counters, latency
   /// quantiles, messages per acquire, communicate-call complexity).
   [[nodiscard]] service_report report() const;
 
   /// The structured event journal, or nullptr when
   /// config.journal_events is off. The journal is a rendering of the
-  /// registry's command stream (one record per non-renewal command);
-  /// the pointer stays valid for the service's lifetime.
+  /// registry's committed command stream (one record per non-renewal
+  /// command); the pointer stays valid for the service's lifetime.
   [[nodiscard]] obs::journal* journal() noexcept { return journal_.get(); }
 
   /// Install the replication commit gate (cluster mode). After every
@@ -437,15 +450,18 @@ class service {
   std::size_t gate_multi_release(std::size_t count);
   void prune_participated(worker& w);
   void sweeper_main();
-  /// The registry's command hook: render one mutation into the watch
-  /// hub and (when enabled) the journal — the downstream layers are
-  /// views of the command stream, not parallel bookkeeping.
+  /// Render one command the feed read into the watch hub and (when
+  /// enabled) the journal — the downstream layers are views of the
+  /// command stream, not parallel bookkeeping.
   void render_command(const cmd::command& c);
+  /// Count feed readers in or out (a watch subscription, the journal):
+  /// the feed's cursor is open exactly while there is one.
+  void count_feed_readers(int delta);
 
   service_config config_;
-  /// Declared before the registry: the registry's command hook targets
-  /// the hub and the journal, so both must be constructed first and
-  /// destroyed last.
+  /// Views of the registry's committed command stream, filled by
+  /// publish_committed(); the registry holds no reference to either, so
+  /// no member order is load-bearing.
   watch_hub hub_;
   std::unique_ptr<obs::journal> journal_;
   instance_registry registry_;
@@ -466,6 +482,16 @@ class service {
   /// where every mutation is trivially durable the moment it applies.
   std::function<bool(const std::string&)> commit_gate_;
   std::atomic<bool> sweeper_suspended_{false};
+
+  /// The observer feed: a registry cursor read through the commit
+  /// watermark. `feed_mutex_` serializes reading and rendering, so each
+  /// key's events come out in seq order; `feed_open_` is the lock-free
+  /// "anyone listening?" check publish_committed starts with.
+  std::mutex feed_mutex_;
+  std::uint64_t feed_ = 0;
+  int feed_readers_ = 0;
+  std::vector<cmd::command> feed_batch_;
+  std::atomic<bool> feed_open_{false};
 
   std::thread sweeper_;
   std::mutex sweeper_mutex_;

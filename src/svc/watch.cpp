@@ -18,7 +18,6 @@ void watch_hub::stop() {
     stopped_ = true;
     dropped_.fetch_add(queue_.size(), std::memory_order_relaxed);
     queue_.clear();
-    armed_.store(false, std::memory_order_relaxed);
   }
   queue_cv_.notify_all();
   if (notifier_.joinable()) notifier_.join();
@@ -32,41 +31,31 @@ std::uint64_t watch_hub::add(std::string key, callback fn) {
   watchers_.emplace(
       id, watcher{std::move(key),
                   std::make_shared<const callback>(std::move(fn))});
-  armed_.store(true, std::memory_order_relaxed);
   return id;
 }
 
-void watch_hub::remove(std::uint64_t id) {
+bool watch_hub::remove(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mutex_);
   const auto it = watchers_.find(id);
-  if (it != watchers_.end()) {
-    const auto by_key = by_key_.find(it->second.key);
-    if (by_key != by_key_.end()) {
-      auto& ids = by_key->second;
-      ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-      if (ids.empty()) by_key_.erase(by_key);
-    }
-    watchers_.erase(it);
-    if (watchers_.empty() && !forced_) {
-      armed_.store(false, std::memory_order_relaxed);
-    }
+  if (it == watchers_.end()) return false;
+  const auto by_key = by_key_.find(it->second.key);
+  if (by_key != by_key_.end()) {
+    auto& ids = by_key->second;
+    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+    if (ids.empty()) by_key_.erase(by_key);
   }
+  watchers_.erase(it);
   // The after-remove guarantee: wait out any in-flight delivery to this
   // id, so the caller can destroy callback state the moment we return.
   // The notifier itself (a callback cancelling its own subscription)
   // must not wait on its own delivery.
-  if (std::this_thread::get_id() == notifier_.get_id()) return;
-  delivered_cv_.wait(lock, [&] {
-    return std::find(delivering_.begin(), delivering_.end(), id) ==
-           delivering_.end();
-  });
-}
-
-void watch_hub::force_arm() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (stopped_) return;
-  forced_ = true;
-  armed_.store(true, std::memory_order_relaxed);
+  if (std::this_thread::get_id() != notifier_.get_id()) {
+    delivered_cv_.wait(lock, [&] {
+      return std::find(delivering_.begin(), delivering_.end(), id) ==
+             delivering_.end();
+    });
+  }
+  return true;
 }
 
 void watch_hub::set_drop_hook(std::function<void(const std::string&)> fn) {
@@ -76,8 +65,6 @@ void watch_hub::set_drop_hook(std::function<void(const std::string&)> fn) {
 
 void watch_hub::publish(const std::string& key, std::uint64_t epoch,
                         transition kind, int session) {
-  // armed() already gated the common no-watcher case before this call;
-  // here we only pay when somebody, somewhere, is watching something.
   bool dropped = false;
   bool notify = false;
   std::function<void(const std::string&)> drop_hook;

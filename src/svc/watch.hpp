@@ -1,18 +1,21 @@
 // elect::svc::watch_hub — leader-change subscriptions over the
-// registry's transition hook.
+// registry's committed command stream.
 //
-// The registry publishes one event per leader transition (elected /
-// released / expired); the hub fans each event out to every callback
-// subscribed to that key. Delivery is asynchronous: publishers (a
-// releasing client thread, the lease sweeper, a pool node claiming a
-// win) only enqueue under the hub mutex and move on, and a dedicated
-// notifier thread runs the callbacks — so a slow watcher can never
-// stall an election, a release, or the sweeper.
+// The service's observer feed reads the registry's command log through
+// a cursor, up to the commit watermark, and publishes one event per
+// leader transition (elected / released / expired / force_released);
+// the hub fans each event out to every callback subscribed to that key.
+// Delivery is asynchronous: the feed (run by whichever thread moved the
+// watermark — a client thread after its commit gate, the sweeper, the
+// replication ticker) only enqueues under the hub mutex and moves on,
+// and a dedicated notifier thread runs the callbacks — so a slow
+// watcher can never stall an election, a release, or the sweeper.
 //
 // Guarantees (the ones api::client::watch documents to users):
 //   * every transition on a watched key that happens after add()
 //     returns is delivered exactly once per subscription, in the order
-//     the hub observed it — unless the event queue overflows
+//     it was published — the key's command seq order, as the feed reads
+//     the log in order under one lock — unless the event queue overflows
 //     (max_queued_events), in which case events are counted as dropped
 //     rather than blocking the publisher;
 //   * there is NO ordering guarantee across different keys;
@@ -88,15 +91,10 @@ class watch_hub {
   [[nodiscard]] std::uint64_t add(std::string key, callback fn);
 
   /// Unsubscribe. Blocks until no delivery to this subscription is in
-  /// flight, so the callback never runs after remove() returns (no-op
-  /// for unknown ids; safe from inside the subscription's own callback).
-  void remove(std::uint64_t id);
-
-  /// Keep armed() true even with zero subscriptions. The service sets
-  /// this when the event journal is on: the registry's transition hook
-  /// must fire for every transition (to journal it), not just while
-  /// someone watches. stop() still disarms.
-  void force_arm();
+  /// flight, so the callback never runs after remove() returns (safe
+  /// from inside the subscription's own callback). Returns false — and
+  /// does nothing — for an unknown id.
+  bool remove(std::uint64_t id);
 
   /// Called (outside the hub mutex) with the key of each event dropped
   /// to the queue bound — the journal's watch_drop feed. Set before any
@@ -104,21 +102,14 @@ class watch_hub {
   /// concurrent publish.
   void set_drop_hook(std::function<void(const std::string&)> fn);
 
-  /// Publish one transition (the registry hook's target). Cheap when
-  /// nobody watches `key`: armed() gates the call before any of this
-  /// runs, and a non-matching key costs one map probe under the mutex.
+  /// Publish one transition (the observer feed's target). A key nobody
+  /// watches costs one map probe under the mutex.
   void publish(const std::string& key, std::uint64_t epoch, transition kind,
                int session);
 
   /// Stop the notifier thread. Queued-but-undelivered events are
   /// dropped (counted); add/publish after stop() are no-ops. Idempotent.
   void stop();
-
-  /// True while at least one subscription is live — the registry's
-  /// publish gate, readable lock-free from the grant fast path.
-  [[nodiscard]] const std::atomic<bool>& armed() const noexcept {
-    return armed_;
-  }
 
   [[nodiscard]] watch_report report() const;
 
@@ -146,11 +137,9 @@ class watch_hub {
   std::vector<std::uint64_t> delivering_;
   std::uint64_t next_id_ = 1;
   bool stopped_ = false;
-  bool forced_ = false;
   std::function<void(const std::string&)> drop_hook_;
 
   std::thread notifier_;
-  std::atomic<bool> armed_{false};
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};

@@ -1,11 +1,14 @@
 // Command-log and snapshot tests: the golden determinism contract
 // (record a churn, replay the log into a fresh registry, get
-// byte-identical snapshots), wall-clock-independent lease restore,
+// byte-identical snapshots), the log's cursors (a trim keeps what an
+// open cursor has not read, committed reads stop at the watermark, a
+// registry nobody reads records nothing), wall-clock-independent lease restore,
 // restore-time fencing, live-vs-replay parity across the strategy ×
 // backend matrix, and adversarial streams/snapshots (truncation, seq
 // gaps, corrupt headers) failing with clean errors.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -45,6 +48,18 @@ std::optional<std::uint64_t> acquire_via_registry(svc::instance_registry& reg,
     return epoch;
   }
   return std::nullopt;
+}
+
+/// Every retained command, shard by shard (each shard's slice in seq
+/// order; cross-shard interleaving is unobservable — keys never
+/// migrate): what replay() takes.
+std::vector<cmd::command> retained_commands(const svc::instance_registry& reg) {
+  std::vector<cmd::command> out;
+  for (int s = 0; s < reg.shard_count(); ++s) {
+    const auto slice = reg.read_log(s, 0, SIZE_MAX);
+    out.insert(out.end(), slice.begin(), slice.end());
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------
@@ -87,7 +102,7 @@ TEST(CmdGolden, ConcurrentRegistryChurnReplaysByteIdentical) {
   // And one lease left held, so the snapshot carries a live deadline.
   ASSERT_TRUE(acquire_via_registry(reg, "held/final", 96, 60s).has_value());
 
-  const std::vector<cmd::command> log = reg.collect_commands();
+  const std::vector<cmd::command> log = retained_commands(reg);
   const cmd::log_stats stats = reg.log_stats();
   EXPECT_TRUE(stats.recording);
   EXPECT_EQ(stats.recorded, log.size());
@@ -128,7 +143,7 @@ TEST(CmdGolden, ServiceChurnReplaysByteIdentical) {
   for (auto& t : clients) t.join();
 
   const std::vector<cmd::command> log =
-      service.registry().collect_commands();
+      retained_commands(service.registry());
   EXPECT_GT(log.size(), 0u);
   svc::instance_registry fresh(shard_count);
   const auto error = fresh.replay(log);
@@ -148,7 +163,7 @@ TEST(CmdGolden, TrimmedLogIsCompactedNotLost) {
   // log reconstructs the same state the recorder reaches.
   const auto epoch_b = acquire_via_registry(reg, "trim/b", 2, 0s);
   ASSERT_TRUE(epoch_b.has_value());
-  const std::vector<cmd::command> suffix = reg.collect_commands();
+  const std::vector<cmd::command> suffix = retained_commands(reg);
   EXPECT_EQ(suffix.size(), 1u);
 
   svc::instance_registry fresh(2);
@@ -165,6 +180,101 @@ TEST(CmdGolden, TrimmedLogIsCompactedNotLost) {
     EXPECT_EQ(twin->entry.epoch, live->entry.epoch) << key;
     EXPECT_EQ(twin->leader, live->leader) << key;
   }
+}
+
+// ---------------------------------------------------------------------
+// Cursors: one log, every reader at its own position.
+
+TEST(CmdCursor, TrimKeepsWhatAnOpenCursorHasNotRead) {
+  svc::instance_registry reg(1);
+  reg.enable_command_log();
+  const std::uint64_t drain = reg.open_cursor();
+  ASSERT_TRUE(acquire_via_registry(reg, "k", 1, 0s).has_value());
+  std::vector<cmd::command> read;
+  reg.read_cursor(drain, 0, /*committed_only=*/false, read);
+  ASSERT_EQ(read.size(), 1u);
+  ASSERT_EQ(reg.release("k", 1), svc::lease_status::ok);
+
+  // The snapshot moves the history past both commands; the release is
+  // still unread by the other cursor, so it stays.
+  (void)reg.snapshot(/*trim_log=*/true);
+  EXPECT_EQ(reg.log_stats().retained, 1u);
+  read.clear();
+  reg.read_cursor(drain, 0, /*committed_only=*/false, read);
+  ASSERT_EQ(read.size(), 1u);
+  EXPECT_EQ(read[0].seq, 2u);
+  EXPECT_EQ(read[0].kind, cmd::command_kind::released);
+  EXPECT_EQ(reg.log_stats().retained, 0u);
+
+  // A cursor reads each command once.
+  read.clear();
+  reg.read_cursor(drain, 0, /*committed_only=*/false, read);
+  EXPECT_TRUE(read.empty());
+  reg.close_cursor(drain);
+}
+
+TEST(CmdCursor, CommittedReadsStopAtTheWatermark) {
+  svc::instance_registry reg(1);
+  reg.commit_manually();
+  const std::uint64_t feed = reg.open_cursor();
+  const auto epoch = acquire_via_registry(reg, "k", 1, 0s);
+  ASSERT_TRUE(epoch.has_value());
+  ASSERT_EQ(reg.release("k", 1, *epoch), svc::lease_status::ok);
+
+  std::vector<cmd::command> read;
+  reg.read_cursor(feed, 0, /*committed_only=*/true, read);
+  EXPECT_TRUE(read.empty());
+  EXPECT_TRUE(reg.read_log(0, 0, SIZE_MAX).empty());
+  reg.commit_through(0, 1);
+  reg.read_cursor(feed, 0, /*committed_only=*/true, read);
+  ASSERT_EQ(read.size(), 1u);
+  EXPECT_EQ(read[0].kind, cmd::command_kind::acquire_granted);
+  reg.commit_through(0, 2);
+  reg.read_cursor(feed, 0, /*committed_only=*/true, read);
+  ASSERT_EQ(read.size(), 2u);
+  EXPECT_EQ(read[1].kind, cmd::command_kind::released);
+
+  reg.close_cursor(feed);
+  EXPECT_FALSE(reg.log_stats().recording);
+  EXPECT_EQ(reg.log_stats().retained, 0u);
+}
+
+TEST(CmdCursor, NobodyReadingRecordsNothingAndAClosedWatchRetainsNothing) {
+  svc::service_config config;
+  config.nodes = 4;
+  config.lease_ttl_ms = 60'000;
+  svc::service service(std::move(config));
+  auto session = service.connect();
+  const auto churn = [&] {
+    for (int i = 0; i < 20; ++i) {
+      const std::string key = "cursor/" + std::to_string(i % 4);
+      const auto got = session.try_acquire(key);
+      ASSERT_TRUE(got.won) << key;
+      ASSERT_EQ(session.renew(key, got.epoch), svc::lease_status::ok);
+      ASSERT_EQ(session.release(key, got.epoch), svc::lease_status::ok);
+    }
+  };
+  // No watcher, no journal, no recording: no command payload is built.
+  churn();
+  EXPECT_FALSE(service.registry().log_stats().recording);
+  EXPECT_EQ(service.registry().log_stats().recorded, 0u);
+
+  std::atomic<int> events{0};
+  const std::uint64_t watch = service.watch(
+      "cursor/0", [&](const svc::watch_event&) { events.fetch_add(1); });
+  ASSERT_NE(watch, 0u);
+  churn();
+  EXPECT_TRUE(service.registry().log_stats().recording);
+  EXPECT_GT(service.registry().log_stats().recorded, 0u);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (events.load() < 10 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(events.load(), 10);  // 5 grants + 5 releases of cursor/0
+
+  service.unwatch(watch);
+  EXPECT_FALSE(service.registry().log_stats().recording);
+  EXPECT_EQ(service.registry().log_stats().retained, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -286,7 +396,7 @@ TEST(CmdParity, StrategyBackendMatrixLiveMatchesReplay) {
       }
 
       const std::vector<cmd::command> log =
-          service.registry().collect_commands();
+          retained_commands(service.registry());
       EXPECT_GT(log.size(), 0u);
       svc::instance_registry replayed(shard_count);
       const auto error = replayed.replay(log);
@@ -322,7 +432,7 @@ std::vector<cmd::command> small_log() {
   EXPECT_EQ(reg.release("k", 1, *e0), svc::lease_status::ok);
   const auto e1 = acquire_via_registry(reg, "k", 2, 0s);
   EXPECT_TRUE(e1.has_value());
-  return reg.collect_commands();
+  return retained_commands(reg);
 }
 
 TEST(CmdAdversarial, SequenceGapIsRejected) {

@@ -2,9 +2,10 @@
 // then the full TCP loop — remote sessions over a loopback server,
 // unique winner across remote clients, out-of-order pipelined
 // completion, backpressure, clean remote double-release verdicts, the
-// metrics fetch, and the acceptance crash scenario: kill a client
-// socket mid-lease and prove the key is re-grantable via the
-// disconnect-on-close hook (well inside the PR 2 TTL + sweep bound).
+// metrics fetch, admin_commands paging while the log grows, and the
+// acceptance crash scenario: kill a client socket mid-lease and prove
+// the key is re-grantable via the disconnect-on-close hook (well inside
+// the PR 2 TTL + sweep bound).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,8 +21,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos/nemesis.hpp"
@@ -491,6 +494,99 @@ TEST(NetRemote, MetricsFetchCarriesNetAndServiceSections) {
   EXPECT_NE(json.find("\"frames_in\":"), std::string::npos);
   EXPECT_NE(json.find("\"dispatch_batches\":"), std::string::npos);
   EXPECT_NE(json.find("\"disconnect_reclaims\":"), std::string::npos);
+}
+
+/// (shard, seq) of every command in one admin_commands page body.
+std::vector<std::pair<int, std::uint64_t>> paged_positions(
+    const std::string& body) {
+  std::vector<std::pair<int, std::uint64_t>> out;
+  const std::string seq_field = "{\"seq\":";
+  const std::string shard_field = ",\"shard\":";
+  for (auto at = body.find(seq_field); at != std::string::npos;
+       at = body.find(seq_field, at + 1)) {
+    const std::uint64_t seq = std::stoull(body.substr(at + seq_field.size()));
+    const auto shard_at = body.find(shard_field, at);
+    out.emplace_back(std::stoi(body.substr(shard_at + shard_field.size())),
+                     seq);
+  }
+  return out;
+}
+
+// admin_commands pages resume from a log position, not from an offset
+// into a fresh copy of the log: commands appended between pages shift
+// nothing, so one pass returns every command exactly once — and a new
+// command past the position shows up too.
+TEST(NetAdmin, CommandPagesNeitherRepeatNorSkipWhileTheLogGrows) {
+  svc::service_config service_config;
+  service_config.nodes = 4;
+  service_config.default_strategy = election::strategy_kind::adaptive;
+  service_config.record_commands = true;
+  net::server_config server_config;
+  server_config.enable_admin = true;
+  remote_stack stack(std::move(service_config), std::move(server_config));
+  ASSERT_TRUE(stack.server.listening());
+  svc::instance_registry& registry = stack.service.registry();
+  auto session = stack.service.connect();
+  const auto churn = [&](const std::string& key, int pairs) {
+    for (int i = 0; i < pairs; ++i) {
+      const auto got = session.try_acquire(key);
+      ASSERT_TRUE(got.won) << key;
+      ASSERT_EQ(session.release(key, got.epoch), svc::lease_status::ok);
+    }
+  };
+  for (int i = 0; i < 6000; ++i) churn("page/" + std::to_string(i % 200), 1);
+  std::set<std::pair<int, std::uint64_t>> before;
+  for (int s = 0; s < registry.shard_count(); ++s) {
+    for (const cmd::command& c : registry.read_log(s, 0, SIZE_MAX)) {
+      before.emplace(c.shard, c.seq);
+    }
+  }
+  ASSERT_EQ(before.size(), 12000u);
+  std::string first_shard_key;
+  std::string last_shard_key;
+  for (int i = 0; first_shard_key.empty() || last_shard_key.empty(); ++i) {
+    const std::string key = "grow/" + std::to_string(i);
+    if (registry.shard_of(key) == 0) first_shard_key = key;
+    if (registry.shard_of(key) == registry.shard_count() - 1) {
+      last_shard_key = key;
+    }
+  }
+
+  const auto client = stack.connect();
+  std::set<std::pair<int, std::uint64_t>> seen;
+  std::uint64_t position = 0;
+  int pages = 0;
+  for (;;) {
+    const auto page =
+        client->admin(net::wire::op::admin_commands, "", position);
+    ASSERT_TRUE(page.has_value());
+    ASSERT_EQ(page->result, net::wire::status::ok);
+    const auto positions = paged_positions(page->body);
+    if (positions.empty()) break;
+    for (const auto& at : positions) {
+      EXPECT_TRUE(seen.insert(at).second)
+          << "shard " << at.first << " seq " << at.second << " repeated";
+    }
+    position = page->epoch;
+    if (++pages == 1) {
+      // The log grows between page 1 and page 2 — behind the position
+      // (shard 0) and ahead of it (the last shard).
+      churn(first_shard_key, 50);
+      churn(last_shard_key, 50);
+    }
+    ASSERT_LT(pages, 100);
+  }
+  EXPECT_GE(pages, 3);
+  for (const auto& at : before) {
+    EXPECT_EQ(seen.count(at), 1u)
+        << "shard " << at.first << " seq " << at.second << " skipped";
+  }
+  std::size_t ahead = 0;
+  for (const cmd::command& c :
+       registry.read_log(registry.shard_count() - 1, 0, SIZE_MAX)) {
+    if (c.key == last_shard_key) ahead += seen.count({c.shard, c.seq});
+  }
+  EXPECT_EQ(ahead, 100u);
 }
 
 TEST(NetRemote, ServerStopRejectsRemoteCallsCleanly) {

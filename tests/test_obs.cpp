@@ -80,7 +80,9 @@ TEST(Trace, ScopeSetsRestoresAndNests) {
 
 TEST(Trace, CollectReturnsSpansSortedByStart) {
   const std::uint64_t id = obs::mint();
-  const std::uint64_t t0 = obs::now_ns();
+  // The synthetic spans lie wholly in the past, so the scoped span below
+  // starts after both of them however fast this runs.
+  const std::uint64_t t0 = obs::now_ns() - 10'000;
   // Recorded out of start order on purpose.
   obs::record_for(id, obs::phase::election, t0 + 2000, t0 + 5000);
   obs::record_for(id, obs::phase::queue_wait, t0, t0 + 2000);

@@ -7,8 +7,10 @@
 // check), and full in-process clusters over loopback: single-primary
 // election, redirect-following clients, epoch-fenced failover with a
 // held lease, a late follower catching up via snapshot + suffix, an
-// unconfirmable grant being revoked, and a step-down answering a
-// parked acquire not_primary.
+// unconfirmable grant being revoked (and never reaching a watcher or
+// the journal), a step-down answering a parked acquire not_primary,
+// compaction racing live commands without dropping one, and followers
+// compacting their own logs and still winning a failover.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -18,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -647,6 +650,7 @@ struct cluster_harness {
     svc::service_config sc{.nodes = 4, .shards = 2};
     sc.lease_ttl_ms = ttl;
     sc.record_commands = true;
+    sc.journal_events = journal;
     sc.session_id_base = i << 24;
     services[idx] = std::make_unique<svc::service>(std::move(sc));
 
@@ -716,9 +720,23 @@ struct cluster_harness {
     return out;
   }
 
+  /// A member's replicated-log length, from its status JSON.
+  [[nodiscard]] std::uint64_t log_entries(int i) const {
+    const std::string status =
+        nodes[static_cast<std::size_t>(i)]->status_json();
+    const std::string field = "\"log_entries\":";
+    const auto at = status.find(field);
+    EXPECT_NE(at, std::string::npos) << status;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(status.substr(at + field.size()));
+  }
+
   std::vector<std::uint16_t> ports;
   repl::cluster_config base;
   std::uint64_t ttl = 0;
+  /// Members journal their events (set before start_all).
+  bool journal = false;
   std::set<int> stopped;
   std::vector<std::unique_ptr<svc::service>> services;
   std::vector<std::unique_ptr<repl::node>> nodes;
@@ -947,6 +965,147 @@ TEST(ReplCluster, StepDownAnswersAParkedAcquireNotPrimary) {
   ASSERT_TRUE(follower.connected());
   const auto won = follower.try_acquire_for("locks/stepdown", 15'000ms);
   EXPECT_TRUE(won.won);
+}
+
+// Observers see only committed commands: a grant the commit gate
+// cannot confirm — and the reclaim that revokes it — reaches neither a
+// watcher nor the journal, so nobody sees a leader its acquirer was
+// refused.
+TEST(ReplCluster, UnconfirmedGrantNeverReachesWatchersOrTheJournal) {
+  cluster_harness cluster(3);
+  cluster.base.commit_wait_ms = 300;
+  cluster.journal = true;
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  for (int i = 0; i < 3; ++i) {
+    if (i != p) cluster.stop_member(i);
+  }
+  svc::service& service = *cluster.services[static_cast<std::size_t>(p)];
+  const std::string key = "locks/phantom";
+  std::mutex mutex;
+  std::vector<svc::watch_event> seen;
+  const std::uint64_t watch =
+      service.watch(key, [&](const svc::watch_event& e) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        seen.push_back(e);
+      });
+  ASSERT_NE(watch, 0u);
+
+  auto session = service.connect();
+  const auto result = session.try_acquire(key);
+  ASSERT_TRUE(result.connection_lost);
+  std::this_thread::sleep_for(500ms);
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    for (const svc::watch_event& e : seen) {
+      ADD_FAILURE() << "watcher saw " << svc::to_string(e.kind) << " epoch "
+                    << e.epoch << " session " << e.session;
+    }
+  }
+  ASSERT_NE(service.journal(), nullptr);
+  for (const obs::event_record& r : service.journal()->tail(4096)) {
+    EXPECT_NE(r.key, key) << "journal recorded " << obs::to_string(r.kind);
+  }
+  service.unwatch(watch);
+}
+
+// A snapshot trim must never drop a command the drain has not shipped:
+// with compaction every 64 entries racing a client that mutates the
+// primary back to back, every op is confirmed in time and no follower
+// ever needs a snapshot to heal a seq gap.
+TEST(ReplCluster, CompactionNeverDropsAnUnshippedCommand) {
+  cluster_harness cluster(3, /*lease_ttl_ms=*/0, /*fence_bump=*/1000,
+                          /*compact_threshold=*/64);
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  const auto idx = static_cast<std::size_t>(p);
+  auto session = cluster.services[idx]->connect();
+
+  int connection_lost = 0;
+  int pairs = 0;
+  const auto until = std::chrono::steady_clock::now() + 4s;
+  for (int i = 0; std::chrono::steady_clock::now() < until; ++i) {
+    const std::string key = "race/" + std::to_string(i % 64);
+    const auto got = session.try_acquire(key);
+    if (got.connection_lost) ++connection_lost;
+    if (!got.won) continue;
+    if (session.release(key, got.epoch) ==
+        svc::lease_status::connection_lost) {
+      ++connection_lost;
+    }
+    ++pairs;
+  }
+  EXPECT_GT(pairs, 64);
+  EXPECT_EQ(connection_lost, 0);
+  const repl::node_counters primary = cluster.nodes[idx]->counters();
+  EXPECT_GE(primary.compactions, 1u);
+  EXPECT_EQ(primary.commit_timeouts, 0u);
+  for (int i = 0; i < 3; ++i) {
+    if (i == p) continue;
+    EXPECT_EQ(cluster.nodes[static_cast<std::size_t>(i)]
+                  ->counters()
+                  .snapshots_installed,
+              0u)
+        << "member " << i;
+  }
+}
+
+// Followers compact too — through their applied index, where the
+// registry is exactly the log — so their logs stay bounded, and a
+// compacted follower still wins a failover and serves.
+TEST(ReplCluster, FollowersCompactAndACompactedFollowerWinsFailover) {
+  constexpr std::uint64_t threshold = 64;
+  cluster_harness cluster(3, /*lease_ttl_ms=*/0, /*fence_bump=*/1000,
+                          threshold);
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  auto session = cluster.services[static_cast<std::size_t>(p)]->connect();
+  for (int i = 0; i < 400; ++i) {
+    const std::string key = "compact/" + std::to_string(i % 16);
+    const auto got = session.try_acquire(key);
+    ASSERT_TRUE(got.won) << key;
+    ASSERT_EQ(session.release(key, got.epoch), svc::lease_status::ok);
+  }
+  ASSERT_TRUE(session.try_acquire("compact/held").won);
+
+  const std::uint64_t committed =
+      cluster.nodes[static_cast<std::size_t>(p)]->commit_index();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  for (int i = 0; i < 3; ++i) {
+    if (i == p) continue;
+    auto* follower = cluster.nodes[static_cast<std::size_t>(i)].get();
+    while (follower->commit_index() < committed &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(10ms);
+    }
+    EXPECT_GE(follower->counters().compactions, 1u) << "member " << i;
+    EXPECT_LT(cluster.log_entries(i), 2 * threshold) << "member " << i;
+  }
+
+  cluster.stop_member(p);
+  int next = -1;
+  while (std::chrono::steady_clock::now() < deadline) {
+    next = cluster.primary();
+    if (next >= 0 && next != p) break;
+    std::this_thread::sleep_for(20ms);
+  }
+  ASSERT_GE(next, 0);
+  ASSERT_NE(next, p);
+  EXPECT_GE(cluster.nodes[static_cast<std::size_t>(next)]
+                ->counters()
+                .compactions,
+            1u);
+  svc::instance_registry& registry =
+      cluster.services[static_cast<std::size_t>(next)]->registry();
+  EXPECT_NE(registry.leader_of("compact/held"), -1);
+  api::client client(cluster.endpoints_csv());
+  ASSERT_TRUE(client.connected());
+  auto got = client.try_acquire("compact/after-failover");
+  ASSERT_TRUE(got.won());
+  EXPECT_EQ(got.lease.release(), api::lease_status::ok);
 }
 
 }  // namespace
