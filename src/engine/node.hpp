@@ -112,6 +112,9 @@ class node {
   [[nodiscard]] debug_probe& probe() noexcept { return probe_; }
   [[nodiscard]] const debug_probe& probe() const noexcept { return probe_; }
   [[nodiscard]] const store& local_store() const noexcept { return store_; }
+  /// Runtime-facing: lets a runtime at quiescence erase variables no
+  /// message can touch again (store::erase_if).
+  [[nodiscard]] store& local_store() noexcept { return store_; }
 
   /// Write this node's own cell of an owned_array variable locally and
   /// return the delta to propagate.

@@ -65,6 +65,18 @@ class store {
     return vars_.size();
   }
 
+  /// Forget every variable `doomed(id)` selects, with its write sequence.
+  /// Only safe once no message or protocol step can touch them again
+  /// (a runtime at quiescence, dropping decided instances).
+  template <typename Pred>
+  void erase_if(Pred doomed) {
+    const auto doomed_entry = [&](const auto& entry) {
+      return doomed(entry.first);
+    };
+    std::erase_if(vars_, doomed_entry);
+    std::erase_if(seqs_, doomed_entry);
+  }
+
  private:
   int n_;
   std::unordered_map<var_id, var_value, var_id_hash> vars_;

@@ -70,7 +70,6 @@ cluster::cluster(int n, std::uint64_t seed, cluster_options options)
       transport_(std::make_unique<transport_impl>(*this, n,
                                                   options.batch_transport)),
       factories_(static_cast<std::size_t>(n)),
-      idle_hooks_(static_cast<std::size_t>(n)),
       results_(static_cast<std::size_t>(n), -1),
       attached_(static_cast<std::size_t>(n), false) {
   ELECT_CHECK(n >= 1);
@@ -103,17 +102,6 @@ void cluster::attach(process_id pid, protocol_factory factory) {
   pending_protocols_++;
 }
 
-void cluster::set_idle_hook(process_id pid, std::function<void()> hook) {
-  ELECT_CHECK(!started_);
-  ELECT_CHECK(pid >= 0 && pid < n_);
-  idle_hooks_[static_cast<std::size_t>(pid)] = std::move(hook);
-}
-
-void cluster::poke(process_id pid) {
-  ELECT_CHECK(pid >= 0 && pid < n_);
-  mailboxes_[static_cast<std::size_t>(pid)]->poke();
-}
-
 void cluster::start() {
   ELECT_CHECK(!started_);
   started_ = true;
@@ -127,8 +115,6 @@ void cluster::thread_main(process_id pid) {
   const auto index = static_cast<std::size_t>(pid);
   engine::node& node = *nodes_[index];
   mailbox& mb = *mailboxes_[index];
-
-  const std::function<void()>& idle_hook = idle_hooks_[index];
 
   if (attached_[index]) {
     node.attach_protocol(factories_[index](node));
@@ -155,8 +141,7 @@ void cluster::thread_main(process_id pid) {
     if (!mb.drain_blocking(batch)) break;  // stopped and empty
     for (engine::message& m : batch) node.deliver(std::move(m));
     node.computation_step();
-    if (idle_hook) idle_hook();  // may resume a parked driver coroutine
-    transport_->flush(pid);      // everything this step staged goes out
+    transport_->flush(pid);  // everything this step staged goes out
     report_if_done();
   }
 }

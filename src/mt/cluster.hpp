@@ -58,26 +58,13 @@ class mailbox {
     batch.clear();
   }
 
-  /// Wake the owning thread without delivering a message. Out-of-band
-  /// producers (the election service handing a job to a driver coroutine)
-  /// use this to get the event loop to run its idle hook.
-  void poke() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      poked_ = true;
-    }
-    ready_.notify_one();
-  }
-
   /// Drain everything currently queued by swapping the whole deque out
-  /// under one lock; blocks until a message arrives, the mailbox is
-  /// poked, or stop() is called. Returns false on stop-and-empty; a bare
-  /// poke returns true with `out` empty.
+  /// under one lock; blocks until a message arrives or stop() is called.
+  /// Returns false on stop-and-empty.
   bool drain_blocking(std::deque<engine::message>& out) {
     std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return stopped_ || poked_ || !queue_.empty(); });
-    poked_ = false;
-    if (queue_.empty()) return !stopped_;
+    ready_.wait(lock, [&] { return stopped_ || !queue_.empty(); });
+    if (queue_.empty()) return false;
     out.swap(queue_);
     return true;
   }
@@ -103,7 +90,6 @@ class mailbox {
   std::condition_variable ready_;
   std::deque<engine::message> queue_;
   bool stopped_ = false;
-  bool poked_ = false;
 };
 
 struct cluster_options {
@@ -136,16 +122,6 @@ class cluster {
 
   /// Register a protocol for processor pid. Call before start().
   void attach(process_id pid, protocol_factory factory);
-
-  /// Register a hook that pid's thread runs after every computation step
-  /// and on every poke(). The election service uses this to hand queued
-  /// jobs to a long-running driver coroutine from the node's own thread
-  /// (coroutine frames are not thread-safe). Call before start().
-  void set_idle_hook(process_id pid, std::function<void()> hook);
-
-  /// Wake pid's event loop even if no message is in flight (runs the idle
-  /// hook). Safe from any thread once the cluster is constructed.
-  void poke(process_id pid);
 
   /// Launch all threads.
   void start();
@@ -181,7 +157,6 @@ class cluster {
   std::vector<std::unique_ptr<mailbox>> mailboxes_;
   std::vector<std::unique_ptr<engine::node>> nodes_;
   std::vector<protocol_factory> factories_;
-  std::vector<std::function<void()>> idle_hooks_;
   std::vector<std::thread> threads_;
   std::vector<std::int64_t> results_;
   std::vector<bool> attached_;

@@ -80,8 +80,10 @@ std::string service_report::to_json() const {
   out << "\"acquire_latency\":{\"count\":" << acquire_latency_count
       << ",\"sum_us\":" << acquire_latency_sum_us << "},";
   out << "\"participated_entries\":" << participated_entries << ",";
+  out << "\"pool_variables\":" << pool_variables << ",";
   out << "\"total_messages\":" << total_messages << ",";
   out << "\"mailbox_pushes\":" << mailbox_pushes << ",";
+  out << "\"pool_trace_hash\":" << pool_trace_hash << ",";
   out << "\"messages_per_acquire\":" << messages_per_acquire << ",";
   out << "\"mean_communicate_calls\":" << mean_communicate_calls << ",";
   out << "\"max_communicate_calls\":" << max_communicate_calls << ",";

@@ -4,7 +4,7 @@
 // Counters are plain atomics bumped on the hot path; quantiles are read
 // from the histogram only when a report is taken. The service folds in
 // the node pool's engine::metrics (communicate calls) and the transport's
-// message / mailbox-push counters so one report covers the whole stack.
+// delivery counters so one report covers the whole stack.
 #pragma once
 
 #include <algorithm>
@@ -188,9 +188,18 @@ struct service_report {
   /// Per-node participated-map entries, summed over the pool (bounded by
   /// live keys x nodes, not by total epochs — see service::worker).
   std::uint64_t participated_entries = 0;
+  /// Replicated variables held across the pool's node stores. Decided
+  /// instances are forgotten, so this is bounded by live instances, not
+  /// by total epochs.
+  std::uint64_t pool_variables = 0;
   // Pool-level counters (engine::metrics + transport).
   std::uint64_t total_messages = 0;
+  /// Messages delivered to pool nodes. The pool delivers each message
+  /// once, so this equals total_messages.
   std::uint64_t mailbox_pushes = 0;
+  /// Hash of every delivery's (from, to, token, body kind), in delivery
+  /// order: equal seeds and equal call sequences give equal hashes.
+  std::uint64_t pool_trace_hash = 0;
   double messages_per_acquire = 0.0;
   double mean_communicate_calls = 0.0;
   std::uint64_t max_communicate_calls = 0;

@@ -433,13 +433,15 @@ std::size_t instance_registry::bump_matching(
       }
     }
     if (bumped_here == 0) continue;
-    for (auto& wake : wakes) wake();
     bumped += bumped_here;
+    // Count before waking: a woken waiter can win the next epoch and
+    // read the metrics before this thread gets scheduled again.
     if (on_bumped) {
       for (std::size_t k = 0; k < bumped_here; ++k) {
         on_bumped(static_cast<int>(i));
       }
     }
+    for (auto& wake : wakes) wake();
   }
   return bumped;
 }

@@ -337,7 +337,8 @@ class instance_registry {
   /// Force-release every holder whose lease deadline is <= now: bump the
   /// epoch, allocate a fresh instance, wake parked waiters. `on_expired`
   /// (if set) is called with the shard index once per expired key, under
-  /// no lock. Returns the number of leases expired.
+  /// no lock and before the waiters wake. Returns the number of leases
+  /// expired.
   std::size_t sweep_expired(clock::time_point now,
                             const std::function<void(int)>& on_expired = {});
 
@@ -626,8 +627,9 @@ class instance_registry {
   void fence_after_end_locked(shard& s, key_state& state,
                               const std::string& key, std::uint64_t at_ms);
   /// Scan every shard and bump every key matching `predicate` (checked
-  /// under the shard lock); the bumped keys' waiters are woken per shard
-  /// and `on_bumped(shard_index)` runs once per bumped key, under no lock.
+  /// under the shard lock); per shard, `on_bumped(shard_index)` runs
+  /// once per bumped key, under no lock, before the bumped keys' waiters
+  /// are woken.
   /// Each bump emits a `kind` command for the ended epoch.
   /// Shared engine of release_all / reclaim_all (match: held by one
   /// session) and sweep_expired (match: lease deadline passed).

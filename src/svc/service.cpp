@@ -131,9 +131,7 @@ service::service(service_config config)
     : config_(std::move(config)),
       registry_(config_.shards >= 1 ? config_.shards : 1),
       metrics_(config_.shards >= 1 ? config_.shards : 1),
-      pool_(std::make_unique<mt::cluster>(
-          config_.nodes >= 1 ? config_.nodes : 1, config_.seed,
-          mt::cluster_options{.batch_transport = config_.batch_transport})) {
+      pool_metrics_(config_.nodes >= 1 ? config_.nodes : 1) {
   // Validate before anything observable starts; the clamped member
   // initializers above only keep the subobject constructors from
   // aborting with a less descriptive message first.
@@ -161,14 +159,14 @@ service::service(service_config config)
   }
   workers_.reserve(static_cast<std::size_t>(config_.nodes));
   for (process_id pid = 0; pid < config_.nodes; ++pid) {
-    workers_.push_back(std::make_unique<worker>());
-    worker* w = workers_.back().get();
-    pool_->attach(pid, [this, w](engine::node& node) {
-      return driver(node, *w);
-    });
-    pool_->set_idle_hook(pid, [this, w] { pump(*w); });
+    workers_.push_back(std::make_unique<worker>(
+        pid, config_.nodes, fifo_,
+        rng_stream(config_.seed, {0x6c7aULL, static_cast<std::uint64_t>(pid)}),
+        pool_metrics_));
+    worker& w = *workers_.back();
+    w.node.attach_protocol(driver(w));
+    w.node.computation_step();  // the driver parks on its empty queue
   }
-  pool_->start();
   if (config_.lease_ttl_ms != 0) {
     sweeper_ = std::thread([this] { sweeper_main(); });
   }
@@ -199,26 +197,10 @@ void service::stop() {
     sweeper_cv_.notify_all();
     sweeper_.join();
   }
-  // Wake parked acquirers *before* draining: on wakeup they retry the
-  // acquire and get a rejected result instead of sleeping on an epoch
-  // bump that will never come.
+  // Wake parked acquirers: they retry the acquire and get a rejected
+  // result instead of sleeping on an epoch bump that will never come.
+  // Acquires already queued finish on their own threads.
   registry_.shutdown();
-  // One shutdown job per driver; queued behind any in-flight acquires, so
-  // drivers drain their queues before returning.
-  std::vector<std::unique_ptr<job>> shutdowns;
-  shutdowns.reserve(workers_.size());
-  for (process_id pid = 0; pid < config_.nodes; ++pid) {
-    auto j = std::make_unique<job>();
-    j->shutdown = true;
-    const bool queued = submit(pid, *j);
-    ELECT_CHECK_MSG(queued, "second shutdown job on one worker");
-    shutdowns.push_back(std::move(j));
-  }
-  pool_->wait();
-  // Last: the drain above may still render transitions (drained acquires
-  // claiming wins, rendered by their callers); stopping the hub after the
-  // pool keeps those flowing to watchers until the very end, then drops
-  // the remainder.
   hub_.stop();
   // After the hub: nothing publishes transitions anymore, so the journal
   // can drain its sink and join the flusher.
@@ -389,62 +371,74 @@ std::size_t service::gate_multi_release(std::size_t count) {
 }
 
 // ---------------------------------------------------------------------
-// Job handoff: client thread -> per-node queue -> driver coroutine.
+// The pool: a client thread queues its job, then runs every node on the
+// FIFO transport until nothing is left — its own job and any others
+// queued meanwhile (flat combining).
 
-bool service::submit(process_id pid, job& j) {
+void service::submit(process_id pid, job& j) {
   worker& w = *workers_[static_cast<std::size_t>(pid)];
   {
     const std::lock_guard<std::mutex> lock(w.mutex);
-    // Checked under the queue lock so a submit racing stop() either lands
-    // ahead of the shutdown job (and is served) or is turned away — never
-    // hangs behind a driver that already returned.
-    if (w.draining && !j.shutdown) return false;
-    if (j.shutdown) {
-      if (w.draining) return false;
-      w.draining = true;
-    }
     w.queue.push_back(&j);
   }
-  pool_->poke(pid);
-  return true;
+  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  // A run that held the mutex while we queued may have served us already.
+  if (!j.done) run_pool();
+  ELECT_CHECK(j.done);
 }
 
-void service::pump(worker& w) {
-  std::coroutine_handle<> handle;
-  {
-    const std::lock_guard<std::mutex> lock(w.mutex);
-    if (!w.parked || w.queue.empty()) return;
-    w.current = w.queue.front();
-    w.queue.pop_front();
-    handle = std::exchange(w.parked, nullptr);
+void service::run_pool() {
+  for (;;) {
+    bool admitted = false;
+    for (const auto& w : workers_) {
+      if (!w->parked) continue;
+      {
+        const std::lock_guard<std::mutex> lock(w->mutex);
+        if (w->queue.empty()) continue;
+        w->current = w->queue.front();
+        w->queue.pop_front();
+      }
+      admitted = true;
+      std::exchange(w->parked, nullptr).resume();
+    }
+    if (!admitted && fifo_.queue.empty()) break;
+    // A wave: everything sent so far arrives, then every addressee takes
+    // one computation step (serving requests, absorbing replies, resuming
+    // a protocol whose quorum completed). Replies join the next wave.
+    while (!fifo_.queue.empty()) {
+      engine::message m = std::move(fifo_.queue.front());
+      fifo_.queue.pop_front();
+      std::uint64_t mix = trace_hash_ ^ m.token ^
+                          (static_cast<std::uint64_t>(m.from) << 48) ^
+                          (static_cast<std::uint64_t>(m.to) << 32) ^
+                          (static_cast<std::uint64_t>(m.body.index()) << 24);
+      trace_hash_ = splitmix64_next(mix);
+      ++deliveries_;
+      workers_[static_cast<std::size_t>(m.to)]->node.deliver(std::move(m));
+    }
+    for (const auto& w : workers_) {
+      if (w->node.can_step()) w->node.computation_step();
+    }
   }
-  handle.resume();  // on the node's own thread, via its idle hook
+  forget_retired_instances();
 }
 
-bool service::next_job::await_ready() {
-  const std::lock_guard<std::mutex> lock(w.mutex);
-  if (w.queue.empty()) return false;
-  w.current = w.queue.front();
-  w.queue.pop_front();
-  return true;
-}
-
-bool service::next_job::await_suspend(std::coroutine_handle<> handle) {
-  const std::lock_guard<std::mutex> lock(w.mutex);
-  if (!w.queue.empty()) {
-    // A job arrived between await_ready and here; take it and keep going.
-    w.current = w.queue.front();
-    w.queue.pop_front();
-    return false;
+void service::forget_retired_instances() {
+  // Quiescent: no message is in flight and every admitted job is done,
+  // so no protocol step can re-create a retired instance's variables.
+  // Erasing costs a scan of each store; waiting until the retired
+  // instances could hold an eighth of it keeps that scan paid for by
+  // what it erases, with one key or with thousands.
+  const engine::store& sample = workers_.front()->node.local_store();
+  if (retired_.empty() || retired_.size() * 8 < sample.variable_count()) {
+    return;
   }
-  ELECT_CHECK(!w.parked);
-  w.parked = handle;
-  return true;
-}
-
-service::job* service::next_job::await_resume() {
-  ELECT_CHECK(w.current != nullptr);
-  return std::exchange(w.current, nullptr);
+  std::sort(retired_.begin(), retired_.end());
+  const auto retired = [this](const engine::var_id& id) {
+    return std::binary_search(retired_.begin(), retired_.end(), id.instance);
+  };
+  for (const auto& w : workers_) w->node.local_store().erase_if(retired);
+  retired_.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -464,6 +458,7 @@ void service::prune_participated(worker& w) {
     // through.
     const auto current = registry_.peek(it->first);
     if (!current.has_value() || current->instance.value != it->second) {
+      retired_.push_back(it->second);
       it = w.participated.erase(it);
     } else {
       ++it;
@@ -475,8 +470,6 @@ void service::prune_participated(worker& w) {
   // linear in the number of insertions.
   w.participated_prune_at = std::max(config_.participated_prune_threshold,
                                      2 * w.participated.size());
-  w.participated_size.store(w.participated.size(),
-                            std::memory_order_relaxed);
 }
 
 election::strategy_kind service::strategy_for(const std::string& key) const {
@@ -490,28 +483,16 @@ election::strategy& service::protocol_for(
   return *strategies_[static_cast<std::size_t>(kind)];
 }
 
-engine::task<std::int64_t> service::driver(engine::node& node, worker& w) {
+engine::task<std::int64_t> service::driver(worker& w) {
   for (;;) {
     job* j = co_await next_job{w};
-    if (j->shutdown) {
-      // Notify under the lock: the moment a waiter can observe done the
-      // job (on its owner's stack) may be destroyed, so an unlocked
-      // notify would race the cv's destruction.
-      {
-        const std::lock_guard<std::mutex> lock(j->mutex);
-        j->done = true;
-        j->cv.notify_all();
-      }
-      co_return 0;
-    }
-
     const instance_entry entry = j->entry;
     acquire_result result;
     result.epoch = entry.epoch;
     result.instance = entry.instance;
     // Spans are recorded against the job's trace id explicitly (not via
-    // a thread-local scope): the driver suspends across co_await while
-    // this node's thread serves other instances' protocol messages.
+    // a thread-local scope): a pool run executes every queued job, on
+    // whichever client thread happens to hold the pool mutex.
     if (j->trace != 0) {
       obs::record_for(j->trace, obs::phase::queue_wait,
                       to_trace_ns(j->submitted), obs::now_ns());
@@ -534,13 +515,15 @@ engine::task<std::int64_t> service::driver(engine::node& node, worker& w) {
       const auto [it, fresh_key] =
           w.participated.try_emplace(j->key, entry.instance.value);
       if (fresh_key || it->second != entry.instance.value) {
+        // The node's previous instance of this key is decided and over.
+        if (!fresh_key) retired_.push_back(it->second);
         it->second = entry.instance.value;
         election::strategy_context ctx;
         ctx.instance = entry.instance;
         ctx.max_rounds = config_.max_rounds;
         // The claim arbiter behind sifter_pill / doorway_only survivors
         // (and the full protocol's winner report): an epoch-fenced CAS
-        // in the registry. Runs on this node's thread, synchronously.
+        // in the registry. Runs inside the pool run, synchronously.
         ctx.claim = [this, j, &result] {
           const std::uint64_t t0 = j->trace != 0 ? obs::now_ns() : 0;
           const auto deadline = registry_.claim_win(
@@ -556,7 +539,7 @@ engine::task<std::int64_t> service::driver(engine::node& node, worker& w) {
         const std::uint64_t elect_start =
             j->trace != 0 ? obs::now_ns() : 0;
         const election::tas_result outcome =
-            co_await protocol_for(j->kind).elect(node, std::move(ctx));
+            co_await protocol_for(j->kind).elect(w.node, std::move(ctx));
         if (j->trace != 0) {
           obs::record_for(j->trace, obs::phase::election, elect_start,
                           obs::now_ns());
@@ -564,8 +547,6 @@ engine::task<std::int64_t> service::driver(engine::node& node, worker& w) {
         result.won = outcome == election::tas_result::win;
       }
     }
-    w.participated_size.store(w.participated.size(),
-                              std::memory_order_relaxed);
     prune_participated(w);
     result.latency_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -574,20 +555,14 @@ engine::task<std::int64_t> service::driver(engine::node& node, worker& w) {
     metrics_.record_acquire(registry_.shard_of(j->key), j->kind, result.won,
                             result.latency_ns);
 
-    {
-      // Notify under the lock — see the shutdown path above: the client
-      // frees the job as soon as it observes done.
-      const std::lock_guard<std::mutex> lock(j->mutex);
-      j->result = result;
-      j->done = true;
-      j->cv.notify_all();
-    }
+    j->result = result;
+    j->done = true;
   }
 }
 
 acquire_result service::run_acquire(int session_id, process_id pid,
                                     const std::string& key) {
-  // Shared early-out for the three ways stop() turns an acquire away.
+  // Shared early-out for the two ways stop() turns an acquire away.
   const auto reject = [this] {
     metrics_.record_rejected_acquire();
     acquire_result rejected;
@@ -601,8 +576,8 @@ acquire_result service::run_acquire(int session_id, process_id pid,
   j.kind = strategy_for(key);
   j.trace = obs::current();
   j.submitted = std::chrono::steady_clock::now();
-  // A cheap unlocked early-out; the authoritative stop() check is inside
-  // submit() (under the worker lock, via draining).
+  // Turn the acquire away before it registers an attempt. One racing
+  // stop() past this point still runs its election.
   if (stopped_.load(std::memory_order_relaxed)) return reject();
   // Register the attempt (this is the contention estimate's input) and
   // pin the (instance, epoch) the attempt contends. For `adaptive` the
@@ -651,11 +626,7 @@ acquire_result service::run_acquire(int session_id, process_id pid,
     j.entry = registry_.begin_attempt(key).entry;
   }
 
-  // A refused submit means the drivers are shutting down; fail the
-  // acquire softly.
-  if (!submit(pid, j)) return reject();
-  std::unique_lock<std::mutex> lock(j.mutex);
-  j.cv.wait(lock, [&] { return j.done; });
+  submit(pid, j);
   return gate_acquire(std::move(j.result), key, session_id);
 }
 
@@ -764,20 +735,25 @@ service_report service::report() const {
     report.shards[static_cast<std::size_t>(s)].keys =
         registry_.keys_in_shard(s);
   }
-  for (const auto& w : workers_) {
-    report.participated_entries +=
-        w->participated_size.load(std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(pool_mutex_);
+    for (const auto& w : workers_) {
+      report.participated_entries += w->participated.size();
+      report.pool_variables += w->node.local_store().variable_count();
+    }
+    // Every message sent is delivered before a run ends, so outside a
+    // run the two counts agree.
+    report.total_messages = deliveries_;
+    report.mailbox_pushes = deliveries_;
+    report.pool_trace_hash = trace_hash_;
+    report.mean_communicate_calls = pool_metrics_.mean_communicate_calls();
+    report.max_communicate_calls = pool_metrics_.max_communicate_calls();
   }
-  report.total_messages = pool_->total_messages();
-  report.mailbox_pushes = pool_->total_mailbox_pushes();
   report.messages_per_acquire =
       report.acquires == 0
           ? 0.0
           : static_cast<double>(report.total_messages) /
                 static_cast<double>(report.acquires);
-  const engine::metrics& pool_metrics = pool_->runtime_metrics();
-  report.mean_communicate_calls = pool_metrics.mean_communicate_calls();
-  report.max_communicate_calls = pool_metrics.max_communicate_calls();
   report.watch = hub_.report();
   if (journal_) report.journal = journal_->report();
   return report;

@@ -1,15 +1,17 @@
-// elect::svc — a sharded multi-instance election service on the mt
-// runtime.
+// elect::svc — a sharded multi-instance election service.
 //
 // The paper's leader_elect (Figure 6) is a one-shot test-and-set. This
 // service turns it into a long-running facility: many logical elections
-// (one per string key) multiplexed over one fixed mt::cluster node pool.
+// (one per string key) multiplexed over one fixed pool of engine::nodes.
 //
 //   * Every pool node runs a *driver* — a long-lived protocol coroutine
 //     that pulls acquire jobs from a per-node queue and runs one
-//     leader_elect instance per job. Drivers are woken through the
-//     cluster's poke/idle-hook path, so job handoff rides the same event
-//     loop that serves protocol messages.
+//     leader_elect instance per job. The nodes share one FIFO transport
+//     and own no threads: whichever thread submits a job runs the pool
+//     to quiescence under the pool mutex (flat combining), admitting
+//     queued jobs, delivering messages and stepping nodes until nothing
+//     is left. Jobs that arrive during a run join it and contend in the
+//     real protocol; a job is done when its submit returns.
 //   * The instance registry (registry.hpp) shards keys across lock
 //     stripes and lazily maps each key to its current (election_id,
 //     epoch). release() bumps the epoch, giving repeated-TAS semantics.
@@ -36,14 +38,19 @@
 //     instance loses locally (test-and-set is one invocation per
 //     processor per instance).
 //   * Quorum replication spans the whole pool: every node serves
-//     propagate/collect for every instance, so elections tolerate up to
-//     ceil(pool/2)-1 slow nodes exactly as the paper's model promises.
+//     propagate/collect for every instance, so elections run the
+//     paper's communicate calls unchanged. Delivery order is FIFO and
+//     node RNGs derive from the seed, so a single-threaded call sequence
+//     replays the same message trace (report().pool_trace_hash).
 //
 // Threading contract: session calls (try_acquire / acquire / release /
-// renew) block the *calling* OS thread; protocol work happens on the
-// pool threads. stop() is safe to call while clients are mid-call:
-// in-flight acquires drain or come back with `rejected` set, and blocked
-// acquirers are woken — nothing aborts and nothing hangs.
+// renew) block the *calling* OS thread, which may also run other
+// sessions' elections while it holds the pool mutex. Lock order: the
+// pool mutex, then a node queue lock or a registry shard lock; the
+// commit gate and parking run after the pool mutex is released. stop()
+// is safe to call while clients are mid-call: in-flight acquires finish
+// or come back with `rejected` set, and blocked acquirers are woken —
+// nothing aborts and nothing hangs.
 #pragma once
 
 #include <array>
@@ -60,12 +67,15 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "election/strategy.hpp"
+#include "engine/metrics.hpp"
+#include "engine/node.hpp"
 #include "engine/task.hpp"
-#include "mt/cluster.hpp"
 #include "obs/journal.hpp"
 #include "svc/metrics.hpp"
 #include "svc/registry.hpp"
@@ -74,13 +84,12 @@
 namespace elect::svc {
 
 struct service_config {
-  /// Node pool size (one OS thread per node).
+  /// Node pool size. Nodes are coroutines on one transport, not
+  /// threads: a pool of 64 costs memory, not OS threads.
   int nodes = 8;
   /// Registry shard count (lock stripes + metrics partitions).
   int shards = 4;
   std::uint64_t seed = 1;
-  /// Coalesce same-destination messages in the transport.
-  bool batch_transport = true;
   /// Per-election round safety valve (see leader_elect_params).
   std::int64_t max_rounds = 1'000'000;
   /// Lease granted to a winning acquire, in milliseconds. 0 means leases
@@ -267,10 +276,10 @@ class service {
     return stopped_.load(std::memory_order_relaxed);
   }
 
-  /// Drain all queued jobs, stop the drivers and the lease sweeper, wake
-  /// blocked acquirers (they come back `rejected`), and join the pool.
-  /// Called by the destructor; idempotent and safe to race with client
-  /// calls.
+  /// Stop the lease sweeper, wake blocked acquirers (they come back
+  /// `rejected`) and turn later acquires away; an acquire already queued
+  /// still finishes on its own thread. Called by the destructor;
+  /// idempotent and safe to race with client calls.
   void stop();
 
   [[nodiscard]] instance_registry& registry() noexcept { return registry_; }
@@ -350,12 +359,12 @@ class service {
   }
 
  private:
-  /// One queued acquire. The client thread owns the struct (on its
-  /// stack) and sleeps on `done`; the node's driver fills `result`.
+  /// One queued acquire. The submitting thread owns the struct (on its
+  /// stack); a pool run fills `result` and sets `done`, both under
+  /// pool_mutex_.
   struct job {
     std::string key;
     int session_id = -1;
-    bool shutdown = false;
     /// Which election scheme decides this attempt (resolved at submit).
     election::strategy_kind kind = election::strategy_kind::full;
     /// The (instance, epoch) the attempt registered against on the
@@ -367,23 +376,28 @@ class service {
     std::uint64_t trace = 0;
     std::chrono::steady_clock::time_point submitted;
 
-    std::mutex mutex;
-    std::condition_variable cv;
     bool done = false;
     acquire_result result;
   };
 
-  /// Per-node job queue + the parked driver coroutine handle. The queue
-  /// is touched by client threads and the node thread; `current` and
-  /// `participated` are node-thread-only.
+  /// The pool's network: every send joins one FIFO that run_pool()
+  /// delivers in order.
+  struct fifo_transport final : engine::transport {
+    std::deque<engine::message> queue;
+    void send(engine::message m) override { queue.push_back(std::move(m)); }
+  };
+
+  /// One pool node with its job queue and parked driver. `queue` is
+  /// guarded by `mutex` (submitters push without the pool mutex); every
+  /// other member is touched only under pool_mutex_.
   struct worker {
+    worker(process_id pid, int n, engine::transport& out, rng_stream rng,
+           engine::metrics& metrics)
+        : node(pid, n, out, rng, metrics) {}
+
+    engine::node node;
     std::mutex mutex;
     std::deque<job*> queue;
-    /// Set (under mutex) when the shutdown job is queued. Later submits
-    /// are turned away (submit() returns false and the acquire comes
-    /// back `rejected`) instead of enqueueing behind a driver that will
-    /// never serve them.
-    bool draining = false;
     std::coroutine_handle<> parked;
     job* current = nullptr;
     /// Last instance this node invoked leader_elect on, per key (TAS is
@@ -402,30 +416,39 @@ class service {
     /// is not re-scanned on every acquire — the scan cost stays
     /// amortized against actual growth.
     std::size_t participated_prune_at = 0;
-    /// Mirror of participated.size() readable from other threads
-    /// (report(), tests); the map itself is node-thread-only.
-    std::atomic<std::size_t> participated_size{0};
   };
 
-  /// Awaitable the driver parks on between jobs; resumed by pump().
+  /// Awaitable the driver parks on after every job; run_pool() admits
+  /// the next queued job into a parked driver.
   struct next_job {
     worker& w;
-    bool await_ready();
-    bool await_suspend(std::coroutine_handle<> handle);
-    job* await_resume();
+    [[nodiscard]] bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> handle) noexcept {
+      w.parked = handle;
+    }
+    job* await_resume() const {
+      ELECT_CHECK(w.current != nullptr);
+      return std::exchange(w.current, nullptr);
+    }
   };
 
-  engine::task<std::int64_t> driver(engine::node& node, worker& w);
+  engine::task<std::int64_t> driver(worker& w);
   /// Strategy deciding `key`'s epochs (per-key override or default).
   [[nodiscard]] election::strategy_kind strategy_for(
       const std::string& key) const;
   /// The protocol object behind `kind` (adaptive resolves to full).
   [[nodiscard]] election::strategy& protocol_for(
       election::strategy_kind kind) const;
-  void pump(worker& w);
-  /// Enqueue `j` on pid's driver. Returns false (without enqueueing) if
-  /// the worker is already draining for shutdown.
-  [[nodiscard]] bool submit(process_id pid, job& j);
+  /// Queue `j` on pid's driver and run the pool until `j` is done.
+  void submit(process_id pid, job& j);
+  /// Run the pool to quiescence: admit queued jobs into parked drivers,
+  /// deliver every queued message in FIFO order and step every node that
+  /// can step, until no message or admissible job is left. Caller holds
+  /// pool_mutex_.
+  void run_pool();
+  /// At a quiescent point, erase retired instances' variables from every
+  /// node's store once they could make up a fair share of it.
+  void forget_retired_instances();
   acquire_result run_acquire(int session_id, process_id pid,
                              const std::string& key);
   /// Record the metric (and journal a stale_fence) for a fenced
@@ -467,12 +490,25 @@ class service {
   instance_registry registry_;
   service_metrics metrics_;
   /// One shared protocol object per strategy kind (stateless; elect()
-  /// runs on the pool threads).
+  /// runs inside pool runs).
   std::array<std::unique_ptr<election::strategy>,
              election::strategy_kind_count>
       strategies_;
-  std::unique_ptr<mt::cluster> pool_;
+
+  /// The election pool. pool_mutex_ guards fifo_ through retired_, the
+  /// workers' nodes, drivers and participated maps, and every job's
+  /// done/result.
+  mutable std::mutex pool_mutex_;
+  fifo_transport fifo_;
+  engine::metrics pool_metrics_;
   std::vector<std::unique_ptr<worker>> workers_;
+  /// Messages delivered, and the delivery trace (from, to, token, body
+  /// kind) mixed into one hash.
+  std::uint64_t deliveries_ = 0;
+  std::uint64_t trace_hash_ = 0;
+  /// Instances no job can contend again whose variables the pool's
+  /// stores still hold (see forget_retired_instances).
+  std::vector<std::uint32_t> retired_;
 
   std::mutex connect_mutex_;
   int next_session_ = 0;

@@ -5,10 +5,6 @@
 
 namespace elect::svc {
 
-watch_hub::watch_hub() {
-  notifier_ = std::thread([this] { notifier_main(); });
-}
-
 watch_hub::~watch_hub() { stop(); }
 
 void watch_hub::stop() {
@@ -26,6 +22,11 @@ void watch_hub::stop() {
 std::uint64_t watch_hub::add(std::string key, callback fn) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (stopped_) return 0;
+  // Events are only queued for watched keys, so the notifier can wait
+  // for the first subscription: an unwatched service runs no thread.
+  if (!notifier_.joinable()) {
+    notifier_ = std::thread([this] { notifier_main(); });
+  }
   const std::uint64_t id = next_id_++;
   by_key_[key].push_back(id);
   watchers_.emplace(

@@ -8,8 +8,9 @@
 // Delivery is asynchronous: the feed (run by whichever thread moved the
 // watermark — a client thread after its commit gate, the sweeper, the
 // replication ticker) only enqueues under the hub mutex and moves on,
-// and a dedicated notifier thread runs the callbacks — so a slow
-// watcher can never stall an election, a release, or the sweeper.
+// and a dedicated notifier thread (started by the first subscription)
+// runs the callbacks — so a slow watcher can never stall an election, a
+// release, or the sweeper.
 //
 // Guarantees (the ones api::client::watch documents to users):
 //   * every transition on a watched key that happens after add()
@@ -26,9 +27,10 @@
 //     is fine and detected).
 //
 // Callbacks run on the notifier thread. They may call back into the
-// service (acquire/release take only shard locks, which the notifier
-// does not hold), but a callback that blocks indefinitely blocks all
-// watch delivery — treat it like a signal handler: record and return.
+// service (acquire/release take only the pool mutex and shard locks,
+// which the notifier does not hold), but a callback that blocks
+// indefinitely blocks all watch delivery — treat it like a signal
+// handler: record and return.
 #pragma once
 
 #include <atomic>
@@ -79,7 +81,7 @@ class watch_hub {
   /// without bound behind a wedged callback.
   static constexpr std::size_t max_queued_events = 1u << 16;
 
-  watch_hub();
+  watch_hub() = default;
   ~watch_hub();
 
   watch_hub(const watch_hub&) = delete;

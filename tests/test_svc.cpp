@@ -1,15 +1,20 @@
 // Election-service tests: unique leadership per key under concurrent
 // acquirers (every observed interleaving), re-election after release,
-// shard distribution sanity, and the batching mailbox/transport path.
+// shard distribution sanity, a pool that costs no threads, seeded
+// replay, and the mt runtime's batching mailbox/transport path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "election/leader_elect.hpp"
 #include "mt/cluster.hpp"
 #include "svc/service.hpp"
@@ -197,6 +202,133 @@ TEST(SvcService, ReportExposesPoolAndLatencyMetrics) {
   EXPECT_NE(json.find("\"shards\":["), std::string::npos);
 }
 
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(SvcService, PoolCostsNoThreads) {
+  const std::size_t before = thread_count();
+  {
+    svc::service service(svc::service_config{.nodes = 64, .shards = 2});
+    EXPECT_EQ(thread_count(), before) << "the pool started threads";
+  }
+  svc::service service(svc::service_config{
+      .nodes = 64, .shards = 2, .seed = 3, .lease_ttl_ms = 60'000});
+  EXPECT_EQ(thread_count(), before + 1) << "more threads than the sweeper";
+
+  // Eight sessions hand one key around: every epoch has one holder.
+  constexpr int sessions = 8;
+  constexpr int rounds = 25;
+  std::vector<svc::service::session> handles;
+  for (int i = 0; i < sessions; ++i) handles.push_back(service.connect());
+  std::atomic<int> inside{0};
+  std::mutex won_mutex;
+  std::vector<std::uint64_t> won;
+  std::vector<std::thread> clients;
+  for (auto& session : handles) {
+    clients.emplace_back([&] {
+      for (int r = 0; r < rounds; ++r) {
+        const auto result = session.acquire("hot");
+        ASSERT_TRUE(result.won);
+        EXPECT_EQ(inside.fetch_add(1), 0) << "two holders at once";
+        {
+          const std::lock_guard<std::mutex> lock(won_mutex);
+          won.push_back(result.epoch);
+        }
+        inside.fetch_sub(1);
+        ASSERT_EQ(session.release("hot", result.epoch), svc::lease_status::ok);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  std::vector<std::uint64_t> every_epoch(sessions * rounds);
+  std::iota(every_epoch.begin(), every_epoch.end(), 0);
+  std::sort(won.begin(), won.end());
+  EXPECT_EQ(won, every_epoch);
+}
+
+// Jobs queued on one node while another thread runs the pool: every
+// one is served, including those behind a job that lost without sending
+// a message.
+TEST(SvcService, SessionsSharingANodeAreAllServed) {
+  constexpr int sessions = 8;
+  constexpr int rounds = 1000;
+  svc::service service(
+      svc::service_config{.nodes = 2, .shards = 2, .seed = 9});
+  std::vector<svc::service::session> handles;
+  for (int i = 0; i < sessions; ++i) handles.push_back(service.connect());
+  std::atomic<int> inside{0};
+  std::atomic<std::uint64_t> wins{0};
+  std::vector<std::thread> clients;
+  for (auto& session : handles) {
+    clients.emplace_back([&] {
+      for (int r = 0; r < rounds; ++r) {
+        const auto result = session.try_acquire("shared");
+        if (!result.won) continue;
+        EXPECT_EQ(inside.fetch_add(1), 0) << "two holders at once";
+        inside.fetch_sub(1);
+        wins.fetch_add(1);
+        EXPECT_EQ(session.release("shared", result.epoch),
+                  svc::lease_status::ok);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  const auto report = service.report();
+  EXPECT_EQ(report.acquires, std::uint64_t{sessions} * rounds);
+  EXPECT_EQ(report.wins, wins.load());
+  EXPECT_EQ(service.registry().peek("shared")->epoch, wins.load());
+}
+
+TEST(SvcService, SeededScriptReplaysTheSameElections) {
+  constexpr int sessions = 4;
+  constexpr int keys = 8;
+  struct replay {
+    std::vector<std::uint64_t> calls;  // (outcome, epoch) per call
+    std::uint64_t trace_hash = 0;
+    std::uint64_t messages = 0;
+  };
+  const auto run = [] {
+    svc::service service(
+        svc::service_config{.nodes = 4, .shards = 2, .seed = 77});
+    std::vector<svc::service::session> handles;
+    for (int i = 0; i < sessions; ++i) handles.push_back(service.connect());
+    // held[s][k]: the epoch session s holds key k at, + 1 (0 = not held).
+    std::vector<std::vector<std::uint64_t>> held(
+        sessions, std::vector<std::uint64_t>(keys, 0));
+    rng_stream script(2024);
+    replay out;
+    for (int step = 0; step < 400; ++step) {
+      const auto s = static_cast<std::size_t>(script.below(sessions));
+      const auto k = static_cast<std::size_t>(script.below(keys));
+      const std::string key = "replay/" + std::to_string(k);
+      if (held[s][k] != 0) {
+        const auto status = handles[s].release(key, held[s][k] - 1);
+        out.calls.push_back(static_cast<std::uint64_t>(status));
+        held[s][k] = 0;
+        continue;
+      }
+      const auto result = handles[s].try_acquire(key);
+      out.calls.push_back(result.won ? 1 : 0);
+      out.calls.push_back(result.epoch);
+      if (result.won) held[s][k] = result.epoch + 1;
+    }
+    const auto report = service.report();
+    out.trace_hash = report.pool_trace_hash;
+    out.messages = report.total_messages;
+    return out;
+  };
+  const replay first = run();
+  const replay second = run();
+  EXPECT_NE(first.trace_hash, 0u);
+  EXPECT_GT(first.messages, 0u);
+  EXPECT_EQ(first.trace_hash, second.trace_hash);
+  EXPECT_EQ(first.messages, second.messages);
+  EXPECT_EQ(first.calls, second.calls);
+}
+
 // ---------------------------------------------------------------------
 // Batching mailbox / transport.
 
@@ -219,21 +351,10 @@ TEST(MtMailbox, PushBatchDeliversEverythingOnce) {
   }
 }
 
-TEST(MtMailbox, PokeWakesWithoutMessages) {
-  mt::mailbox box;
-  std::thread poker([&] { box.poke(); });
-  std::deque<engine::message> out;
-  EXPECT_TRUE(box.drain_blocking(out));  // poke, not stop: returns true
-  EXPECT_TRUE(out.empty());
-  poker.join();
-  box.stop();
-  EXPECT_FALSE(box.drain_blocking(out));
-}
-
 TEST(MtMailbox, BatchCoalescingStress) {
-  // Several producers hammer one mailbox with mixed push / push_batch /
-  // poke while the consumer drains; every message must arrive exactly
-  // once, in per-producer order.
+  // Several producers hammer one mailbox with push_batch while the
+  // consumer drains; every message must arrive exactly once, in
+  // per-producer order.
   constexpr int producers = 4;
   constexpr int per_producer = 500;
   mt::mailbox box;
@@ -245,7 +366,6 @@ TEST(MtMailbox, BatchCoalescingStress) {
         batch.push_back(engine::message{
             p, 0, static_cast<std::uint64_t>(i), engine::ack_reply{}});
         if (batch.size() == 7) box.push_batch(batch);
-        if (i % 97 == 0) box.poke();
       }
       box.push_batch(batch);
     });

@@ -426,6 +426,32 @@ TEST(SvcService, ParticipatedMapBoundedUnderKeyChurn) {
   EXPECT_LE(report.participated_entries, threshold + 1)
       << "participated map grew linearly with churned keys";
   EXPECT_EQ(report.wins, static_cast<std::uint64_t>(churned_keys));
+  // The pool's node stores forget the instances the prune retires, so
+  // they track the participated map too (a solo election leaves 3
+  // variables per node).
+  EXPECT_GT(report.pool_variables, 0u);
+  EXPECT_LE(report.pool_variables, 2 * 3 * 2 * (threshold + 1))
+      << "node stores kept every churned key's election";
+}
+
+// One key, many epochs: every release retires the key's instance, and
+// the stores must not keep one election's variables per epoch.
+TEST(SvcService, PoolStoresForgetDecidedEpochs) {
+  constexpr int nodes = 4;
+  svc::service service(svc::service_config{.nodes = nodes, .shards = 2});
+  auto session = service.connect();
+  constexpr std::uint64_t epochs = 10'000;
+  for (std::uint64_t e = 0; e < epochs; ++e) {
+    const auto held = session.try_acquire("one");
+    ASSERT_TRUE(held.won);
+    ASSERT_EQ(held.epoch, e);
+    ASSERT_EQ(session.release("one", held.epoch), svc::lease_status::ok);
+  }
+  const auto report = service.report();
+  EXPECT_EQ(report.wins, epochs);
+  EXPECT_GT(report.pool_variables, 0u);
+  EXPECT_LE(report.pool_variables, 64u * nodes)
+      << "node stores grew with the epoch count";
 }
 
 // A key whose instance is still live must survive the prune pass (its

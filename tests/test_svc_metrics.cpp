@@ -379,8 +379,8 @@ TEST(ServiceReportSchema, DocumentedKeysSurviveAJsonRoundTrip) {
   for (const std::string key :
        {"acquires", "wins", "releases", "expirations", "renewals",
         "stale_fences", "forced_releases", "rejected_acquires",
-        "short_circuit_losses", "participated_entries", "total_messages",
-        "mailbox_pushes"}) {
+        "short_circuit_losses", "participated_entries", "pool_variables",
+        "total_messages", "mailbox_pushes", "pool_trace_hash"}) {
     const json_value& value = member(root, key);
     ASSERT_TRUE(value.is_number()) << key;
     EXPECT_GE(value.number(), 0.0) << key;
