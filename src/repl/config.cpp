@@ -37,6 +37,15 @@ std::optional<std::vector<endpoint>> parse_endpoints(const std::string& s) {
 
 std::optional<std::string> cluster_config::validate() const {
   if (members.empty()) return "cluster_config.members is empty";
+  // A member listed twice would count its own vote and ack twice.
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (members[i].to_string() == members[j].to_string()) {
+        return "cluster_config.members lists " + members[i].to_string() +
+               " twice";
+      }
+    }
+  }
   if (self < 0 || self >= static_cast<int>(members.size())) {
     return "cluster_config.self=" + std::to_string(self) +
            " is not an index into the " + std::to_string(members.size()) +

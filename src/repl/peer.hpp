@@ -9,8 +9,8 @@
 // failed append is retried by the next heartbeat, a failed vote just
 // isn't granted — so the channel never buffers or retries internally.
 //
-// Not thread-safe: each caller (a peer replication thread, or the
-// ticker running an election) owns its own channel.
+// Not thread-safe: a node keeps one channel per peer, owned by that
+// peer's sender thread, which carries votes, appends and snapshots alike.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +37,6 @@ class peer_channel {
   /// next call reconnects from scratch.
   [[nodiscard]] std::optional<net::wire::response> call(net::wire::op kind,
                                                         std::string body);
-
-  [[nodiscard]] const endpoint& target() const noexcept { return target_; }
-  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
 
  private:
   [[nodiscard]] bool ensure_connected();

@@ -7,7 +7,7 @@
 // the hub fans each event out to every callback subscribed to that key.
 // Delivery is asynchronous: the feed (run by whichever thread moved the
 // watermark — a client thread after its commit gate, the sweeper, the
-// replication ticker) only enqueues under the hub mutex and moves on,
+// replication timer) only enqueues under the hub mutex and moves on,
 // and a dedicated notifier thread (started by the first subscription)
 // runs the callbacks — so a slow watcher can never stall an election, a
 // release, or the sweeper.

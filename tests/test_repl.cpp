@@ -4,21 +4,30 @@
 // through handle_peer (append/commit/apply, conflicting-tail
 // truncation, replay-rejection forcing a snapshot request, snapshot
 // install healing a seq gap, one-shot votes with the log-up-to-date
-// check), and full in-process clusters over loopback: single-primary
-// election, redirect-following clients, epoch-fenced failover with a
-// held lease, a late follower catching up via snapshot + suffix, an
-// unconfirmable grant being revoked (and never reaching a watcher or
-// the journal), a step-down answering a parked acquire not_primary,
-// compaction racing live commands without dropping one, and followers
-// compacting their own logs and still winning a failover.
+// check, malformed bodies refused, a vote that cannot be recorded
+// refused, an unreadable vote file stopping construction), and full
+// in-process clusters over loopback: single-primary election,
+// redirect-following clients, epoch-fenced failover with a held lease,
+// a late follower catching up via snapshot + suffix, an unconfirmable
+// grant being revoked (and never reaching a watcher or the journal), a
+// step-down answering a parked acquire not_primary, compaction racing
+// live commands without dropping one, followers compacting their own
+// logs and still winning a failover, and an unresponsive member unable
+// to stall elections. The seeded single-threaded simulation of the
+// same protocol lives in test_repl_sim.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iostream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -98,6 +107,12 @@ TEST(ReplConfig, ValidateCatchesEachMisconfiguration) {
 
   c = good;
   c.election_timeout_max_ms = c.election_timeout_min_ms - 1;
+  EXPECT_TRUE(c.validate().has_value());
+
+  // --cluster A,A,B: A would count its own vote and ack twice, so the
+  // "three members" would really be two.
+  c = good;
+  c.members = {{"a", 1}, {"a", 1}, {"b", 2}};
   EXPECT_TRUE(c.validate().has_value());
 }
 
@@ -588,6 +603,150 @@ TEST(ReplNode, VotesAreOneShotPerTermAndCheckLogFreshness) {
   v = decode_vote(
       h.node.handle_peer(peer_request(net::wire::op::peer_vote, retry)).body);
   EXPECT_TRUE(v.granted);
+}
+
+/// A member's replicated-log length, from its status JSON.
+std::uint64_t log_entries_of(const repl::node& n) {
+  const std::string status = n.status_json();
+  const std::string field = "\"log_entries\":";
+  const auto at = status.find(field);
+  EXPECT_NE(at, std::string::npos) << status;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(status.substr(at + field.size()));
+}
+
+// handle_peer decodes bytes straight off the network: every truncation
+// of a valid body, every body with a trailing byte, and an append that
+// declares more entries than any frame may carry are refused as
+// bad_request and leave the member's state exactly as it was.
+TEST(ReplNode, MalformedPeerBodiesAreRefused) {
+  follower_harness h;
+  append_req seed;
+  seed.term = 1;
+  seed.leader = 1;
+  seed.leader_commit = 1;
+  seed.entries.push_back(
+      follower_harness::at_term(1, h.grant("locks/m", 1, 7, 0)));
+  ASSERT_TRUE(decode_append(h.node
+                                .handle_peer(peer_request(
+                                    net::wire::op::peer_append, seed))
+                                .body)
+                  .success);
+  const std::uint64_t term = h.node.current_term();
+  const std::uint64_t commit = h.node.commit_index();
+  const std::uint64_t entries = log_entries_of(h.node);
+
+  const vote_req vote{.term = 5, .candidate = 1, .last_log_index = 9,
+                      .last_log_term = 4};
+  append_req append;
+  append.term = 5;
+  append.leader = 1;
+  append.prev_index = 1;
+  append.prev_term = 1;
+  append.leader_commit = 3;
+  append.entries.push_back(
+      follower_harness::at_term(5, h.release("locks/m", 2, 7, 0)));
+  append.entries.push_back(
+      follower_harness::at_term(5, h.grant("locks/m", 3, 8, 1)));
+  snap_req snap;
+  snap.term = 5;
+  snap.leader = 1;
+  snap.last_index = 3;
+  snap.last_term = 5;
+  const auto bytes = h.service.registry().snapshot();
+  snap.bytes.assign(bytes.begin(), bytes.end());
+
+  std::vector<std::pair<net::wire::op, std::string>> bad;
+  for (const auto& [kind, body] :
+       {std::pair{net::wire::op::peer_vote, encode_body(vote)},
+        std::pair{net::wire::op::peer_append, encode_body(append)},
+        std::pair{net::wire::op::peer_snapshot, encode_body(snap)}}) {
+    for (std::size_t n = 0; n < body.size(); ++n) {
+      bad.emplace_back(kind, body.substr(0, n));
+    }
+    bad.emplace_back(kind, body + std::string(1, '\0'));
+  }
+  cmd::byte_writer oversized;
+  oversized.u64(5);
+  oversized.i32(1);
+  oversized.u64(1);
+  oversized.u64(1);
+  oversized.u64(3);
+  oversized.u32((1u << 16) + 1);
+  bad.emplace_back(net::wire::op::peer_append, oversized.take());
+
+  for (const auto& [kind, body] : bad) {
+    net::wire::request r;
+    r.id = 3;
+    r.kind = kind;
+    r.body = body;
+    EXPECT_EQ(h.node.handle_peer(r).result, net::wire::status::bad_request)
+        << net::wire::to_string(kind) << " body of " << body.size()
+        << " bytes";
+  }
+  EXPECT_EQ(h.node.current_term(), term);
+  EXPECT_EQ(h.node.commit_index(), commit);
+  EXPECT_EQ(log_entries_of(h.node), entries);
+}
+
+/// A temporary directory removed at scope exit.
+struct temp_dir {
+  temp_dir() {
+    std::string pattern = testing::TempDir() + "repl_vote_XXXXXX";
+    path = ::mkdtemp(pattern.data()) != nullptr ? pattern : std::string();
+    EXPECT_FALSE(path.empty());
+  }
+  ~temp_dir() { std::filesystem::remove_all(path); }
+  std::string path;
+};
+
+// A vote the member cannot make durable is refused: granted but lost in
+// a restart, it would let the member hand the same term to a second
+// candidate. Replacing the state directory with a regular file makes
+// every write fail (ENOTDIR), whatever the process's privileges.
+TEST(ReplNode, UnrecordableVoteIsRefused) {
+  temp_dir dir;
+  const std::string state = dir.path + "/state";
+  ASSERT_EQ(::mkdir(state.c_str(), 0700), 0);
+  svc::service service({.nodes = 4, .shards = 2});
+  repl::cluster_config c = follower_harness::make_config();
+  c.state_dir = state;
+  repl::node member(c, service);  // no vote file yet: a fresh member
+
+  ASSERT_EQ(::rmdir(state.c_str()), 0);
+  { std::ofstream blocker(state); }
+  const vote_req ask{.term = 1, .candidate = 1, .last_log_index = 0,
+                     .last_log_term = 0};
+  auto v = decode_vote(
+      member.handle_peer(peer_request(net::wire::op::peer_vote, ask)).body);
+  EXPECT_FALSE(v.granted);
+  EXPECT_EQ(v.term, 1u);
+
+  // Once the record can be written, the same vote is granted — and it
+  // is on disk before the answer leaves.
+  ASSERT_EQ(::unlink(state.c_str()), 0);
+  ASSERT_EQ(::mkdir(state.c_str(), 0700), 0);
+  v = decode_vote(
+      member.handle_peer(peer_request(net::wire::op::peer_vote, ask)).body);
+  EXPECT_TRUE(v.granted);
+  std::ifstream record(state + "/repl_vote_0");
+  std::string line;
+  std::getline(record, line);
+  EXPECT_EQ(line, "v1 1 1");
+}
+
+// A vote file that exists but does not parse is not "never voted": a
+// member that forgot its vote could vote twice in one term, so
+// construction stops and names the file.
+TEST(ReplNodeDeathTest, GarbageVoteFileAbortsConstruction) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  temp_dir dir;
+  { std::ofstream(dir.path + "/repl_vote_0") << "garbage\n"; }
+  svc::service service({.nodes = 4, .shards = 2});
+  repl::cluster_config c = follower_harness::make_config();
+  c.state_dir = dir.path;
+  EXPECT_DEATH({ repl::node member(c, service); }, "repl_vote_0");
 }
 
 // ---------------------------------------------------------------------
@@ -1106,6 +1265,48 @@ TEST(ReplCluster, FollowersCompactAndACompactedFollowerWinsFailover) {
   auto got = client.try_acquire("compact/after-failover");
   ASSERT_TRUE(got.won());
   EXPECT_EQ(got.lease.release(), api::lease_status::ok);
+}
+
+// A member that accepts connections but never answers (a stopped or
+// wedged process) costs a candidate one peer call, not the election:
+// vote requests go to every peer at once, so the two live members elect
+// a primary long before the 3 s peer timeout, whichever seat the
+// unresponsive member holds.
+TEST(ReplCluster, AnUnresponsiveMemberDoesNotStallElections) {
+  for (const int hung : {1, 0}) {
+    SCOPED_TRACE("unresponsive member " + std::to_string(hung));
+    cluster_harness cluster(3);
+    cluster.base.peer_io_timeout_ms = 3000;
+    // The kernel completes connections into the backlog, and the bytes
+    // sent land in its buffers; nobody ever reads them.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    const int one = 1;
+    (void)::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(cluster.ports[static_cast<std::size_t>(hung)]);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    ASSERT_EQ(::listen(listener, 16), 0);
+    for (int i = 0; i < 3; ++i) {
+      if (i != hung) cluster.start_member(i);
+    }
+    const auto started = std::chrono::steady_clock::now();
+    const int p = cluster.wait_for_primary(2s);
+    EXPECT_GE(p, 0);
+    EXPECT_NE(p, hung);
+    std::cout << "[ info ] unresponsive member " << hung
+              << ": primary after "
+              << std::chrono::duration_cast<std::chrono::milliseconds>(
+                     std::chrono::steady_clock::now() - started)
+                     .count()
+              << " ms\n";
+    // Closing the listener resets the queued connections, so no sender
+    // waits out its peer timeout at teardown.
+    ::close(listener);
+  }
 }
 
 }  // namespace
