@@ -24,7 +24,8 @@
 //   ./build/examples/elect_server --port 7400 --snapshot state.elsn \
 //       --snapshot-interval-ms 1000
 //       record the command log and dump a binary snapshot of the
-//       registry to state.elsn (write-to-temp + rename) every interval;
+//       registry to state.elsn every interval (a temp file, fsynced
+//       and renamed over it, then the directory fsynced);
 //       `elect_admin snapshot` forces one on demand.
 //
 //   ./build/examples/elect_server --port 7400 --restore state.elsn
@@ -79,6 +80,7 @@
 
 #include "api/client.hpp"
 #include "common/check.hpp"
+#include "common/file.hpp"
 #include "net/server.hpp"
 #include "repl/node.hpp"
 #include "svc/service.hpp"
@@ -88,26 +90,6 @@ namespace {
 volatile std::sig_atomic_t interrupted = 0;
 
 void on_signal(int) { interrupted = 1; }
-
-/// Write-to-temp + rename, same discipline as the server's
-/// admin_snapshot path: a crash mid-dump never tears the file a later
-/// --restore will read.
-bool dump_snapshot(const std::string& path,
-                   const std::vector<std::uint8_t>& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return false;
-  const bool wrote =
-      bytes.empty() ||
-      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  const bool ok = wrote && std::fflush(file) == 0;
-  if (std::fclose(file) != 0 || !ok ||
-      std::rename(tmp.c_str(), path.c_str()) != 0) {
-    (void)std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
 
 /// Periodic snapshot dumper. Every dump moves the command log's history
 /// past what the snapshot captures, so a long-running server holds a
@@ -130,7 +112,7 @@ class snapshotter {
     cv_.notify_all();
     thread_.join();
     // One final dump so a clean shutdown leaves the freshest state.
-    (void)dump_snapshot(path_, service_.registry().snapshot(true));
+    (void)elect::replace_file_durably(path_, service_.registry().snapshot(true));
   }
 
  private:
@@ -141,7 +123,7 @@ class snapshotter {
         return;
       }
       lock.unlock();
-      if (!dump_snapshot(path_, service_.registry().snapshot(true))) {
+      if (!elect::replace_file_durably(path_, service_.registry().snapshot(true))) {
         std::fprintf(stderr, "snapshot dump to %s failed\n", path_.c_str());
       }
       lock.lock();
@@ -332,7 +314,7 @@ int main(int argc, char** argv) {
   std::optional<repl::node> cluster_node;
   if (cluster.has_value()) {
     // The node starts before the server listens: the commit gate and
-    // sweeper suspension must be armed before any client op can land.
+    // replica rule must be armed before any client op can land.
     // Outbound peer connects just retry until the other members'
     // servers come up.
     cluster_node.emplace(*cluster, service);

@@ -366,12 +366,7 @@ void client::close() {
   for (auto& ch : channels_) {
     if (ch->reader.joinable()) ch->reader.join();
   }
-  {
-    const std::lock_guard<std::mutex> lock(watch_mutex_);
-    watch_stop_ = true;
-  }
-  watch_cv_.notify_all();
-  if (event_thread_.joinable()) event_thread_.join();
+  hub_.stop();
   for (auto& ch : channels_) {
     // Under the write lock: a submit racing this close either writes
     // before us (onto a shut-down socket — a clean failure) or observes
@@ -424,9 +419,14 @@ void client::reader_main(channel& ch) {
         return;
       }
       if (response->kind == wire::op::event) {
-        // Unsolicited push frame: not a reply, route it to the watch
-        // callbacks instead of a pending slot.
-        dispatch_event(*response);
+        // Unsolicited push frame: not a reply. Publish it to the hub,
+        // whose notifier runs the callbacks — never this thread, which
+        // must stay free to route the replies a callback may wait on.
+        // A malformed push is dropped, not fatal; a key nobody watches
+        // any more costs the hub one probe.
+        if (const auto e = wire::parse_event(*response); e.has_value()) {
+          hub_.publish(e->key, e->epoch, e->kind, e->session);
+        }
         continue;
       }
       const std::uint64_t id = response->id;
@@ -622,42 +622,32 @@ std::uint64_t client::watch(const std::string& key,
   bool need_subscribe = false;
   {
     const std::lock_guard<std::mutex> lock(watch_mutex_);
-    if (watch_stop_) return 0;
-    id = next_watch_id_++;
-    watches_.emplace(id, watch_entry{key, std::move(fn)});
+    id = hub_.add(key, std::move(fn));
+    if (id == 0) return 0;  // closed
     key_subscription& ks = key_subs_[key];
     ks.refs++;
     if (ks.server_id == 0 && !ks.subscribing) {
       ks.subscribing = true;
       need_subscribe = true;
     }
-    if (!event_thread_.joinable()) {
-      event_thread_ = std::thread([this] { event_main(); });
-    }
   }
   if (!need_subscribe) return id;
 
   const auto r = call(wire::op::watch, key, 0, 0);
+  const bool subscribed = r.has_value() && r->result == wire::status::ok;
   std::uint64_t orphan_server_id = 0;
-  bool failed = false;
   {
     const std::lock_guard<std::mutex> lock(watch_mutex_);
     const auto ks = key_subs_.find(key);
-    if (!r.has_value() || r->result != wire::status::ok) {
-      failed = true;
-      watches_.erase(id);
-      if (ks != key_subs_.end()) {
-        ks->second.subscribing = false;
-        ks->second.refs--;
+    if (ks != key_subs_.end()) {
+      ks->second.subscribing = false;
+      if (!subscribed) {
         // Piggybacked refs (concurrent watch() calls that trusted this
         // subscribe) are stranded without a server subscription; a
         // refused/failed subscribe means the transport or service is
         // going away, so they fail with the connection.
-        if (ks->second.refs == 0) key_subs_.erase(ks);
-      }
-    } else if (ks != key_subs_.end()) {
-      ks->second.subscribing = false;
-      if (ks->second.refs == 0) {
+        if (--ks->second.refs == 0) key_subs_.erase(ks);
+      } else if (ks->second.refs == 0) {
         // Everyone unwatched while the subscribe was in flight; we are
         // the last owner of the server-side handle.
         orphan_server_id = r->epoch;
@@ -667,39 +657,35 @@ std::uint64_t client::watch(const std::string& key,
       }
     }
   }
+  if (!subscribed) {
+    (void)hub_.remove(id);
+    return 0;
+  }
   if (orphan_server_id != 0) {
     // The unwatch must ride the stripe that owns the subscription: the
     // server only honors an unwatch from the connection that watched.
     (void)submit_impl(route(key), wire::op::unwatch, "", orphan_server_id, 0,
                       /*expect_reply=*/false);
   }
-  return failed ? 0 : id;
+  return id;
 }
 
 void client::unwatch(std::uint64_t id) {
+  // The hub gives the after-return guarantee (and skips the watch for
+  // the rest of an event when a callback cancels it).
+  const auto key = hub_.remove(id);
+  if (!key.has_value()) return;
   std::uint64_t server_id = 0;
-  std::string key;
   {
-    std::unique_lock<std::mutex> lock(watch_mutex_);
-    const auto it = watches_.find(id);
-    if (it == watches_.end()) return;
-    key = it->second.key;
-    watches_.erase(it);
-    const auto ks = key_subs_.find(key);
-    if (ks != key_subs_.end()) {
-      ks->second.refs--;
-      // The server-side subscription dies with its last local ref. If a
-      // subscribe is still in flight, watch() observes refs == 0 at ack
-      // time and cancels it there instead.
-      if (ks->second.refs == 0 && !ks->second.subscribing) {
-        server_id = ks->second.server_id;
-        key_subs_.erase(ks);
-      }
-    }
-    // The after-return guarantee: wait out an in-flight delivery —
-    // unless we *are* the delivery (a callback cancelling itself).
-    if (std::this_thread::get_id() != event_thread_.get_id()) {
-      watch_cv_.wait(lock, [&] { return delivering_watch_ != id; });
+    const std::lock_guard<std::mutex> lock(watch_mutex_);
+    const auto ks = key_subs_.find(*key);
+    // The server-side subscription dies with its last local ref. If a
+    // subscribe is still in flight, watch() observes refs == 0 at ack
+    // time and cancels it there instead.
+    if (ks != key_subs_.end() && --ks->second.refs == 0 &&
+        !ks->second.subscribing) {
+      server_id = ks->second.server_id;
+      key_subs_.erase(ks);
     }
   }
   // Fire-and-forget (expect_reply=false): semantically the unwatch
@@ -707,56 +693,8 @@ void client::unwatch(std::uint64_t id) {
   // callback without waiting on any reply. Routed by the watch's key so
   // it lands on the stripe whose connection owns the subscription.
   if (server_id != 0) {
-    (void)submit_impl(route(key), wire::op::unwatch, "", server_id, 0,
+    (void)submit_impl(route(*key), wire::op::unwatch, "", server_id, 0,
                       /*expect_reply=*/false);
-  }
-}
-
-void client::dispatch_event(const wire::response& r) {
-  auto event = wire::parse_event(r);
-  if (!event.has_value()) return;  // malformed push: drop, don't kill
-  // Reader thread: queue only. Callbacks run on the event thread, so a
-  // callback making synchronous calls on this client does not deadlock
-  // against the reader that must route its replies.
-  {
-    const std::lock_guard<std::mutex> lock(watch_mutex_);
-    if (watch_stop_) return;
-    // A frame racing the key's last unwatch has no audience; and past
-    // the cap (a wedged callback) events drop rather than buffer
-    // without bound — same policy as the server-side hub.
-    if (key_subs_.find(event->key) == key_subs_.end()) return;
-    if (event_queue_.size() >= max_queued_watch_events) return;
-    event_queue_.push_back(std::move(*event));
-  }
-  watch_cv_.notify_all();
-}
-
-void client::event_main() {
-  std::unique_lock<std::mutex> lock(watch_mutex_);
-  for (;;) {
-    watch_cv_.wait(lock,
-                   [this] { return watch_stop_ || !event_queue_.empty(); });
-    if (watch_stop_) return;
-    const svc::watch_event event = std::move(event_queue_.front());
-    event_queue_.pop_front();
-    // Snapshot the audience, then deliver one at a time outside the
-    // lock, re-checking liveness so an unwatch() between deliveries
-    // keeps its after-return guarantee.
-    std::vector<std::pair<std::uint64_t,
-                          std::function<void(const svc::watch_event&)>>>
-        targets;
-    for (const auto& [id, entry] : watches_) {
-      if (entry.key == event.key) targets.emplace_back(id, entry.fn);
-    }
-    for (const auto& [id, fn] : targets) {
-      if (watches_.find(id) == watches_.end()) continue;  // unwatched since
-      delivering_watch_ = id;
-      lock.unlock();
-      fn(event);
-      lock.lock();
-      delivering_watch_ = 0;
-      watch_cv_.notify_all();
-    }
   }
 }
 

@@ -49,7 +49,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -136,22 +135,25 @@ class client {
 
   /// Subscribe to leader transitions on `key` (wire::op::watch): the
   /// server pushes one event frame per elected/released/expired
-  /// transition. `fn` runs on a dedicated per-client event thread (NOT
-  /// the reader), so a callback may freely make synchronous calls on
-  /// this same client — exactly like a local watcher; a callback that
-  /// blocks forever stalls only this client's watch delivery. Watches
-  /// on the same key share one server-side subscription (one push frame
-  /// per transition, delivered once to each callback). Returns a
-  /// client-side watch id, 0 on a dead connection or server refusal.
-  /// Events published between subscription and this call returning are
-  /// delivered.
+  /// transition. The reader publishes each pushed frame into a
+  /// svc::watch_hub this client owns, and `fn` runs on that hub's
+  /// notifier thread (NOT the reader) under the hub's guarantees
+  /// (svc/watch.hpp): per-key order, a bounded queue, nothing after
+  /// unwatch() returns. So a callback may freely make synchronous calls
+  /// on this same client — exactly like a local watcher — and may
+  /// cancel any subscription; a callback that blocks forever stalls
+  /// only this client's watch delivery. Watches on the same key share
+  /// one server-side subscription (one push frame per transition,
+  /// delivered once to each callback). Returns a client-side watch id,
+  /// 0 on a dead connection or server refusal. Events published between
+  /// subscription and this call returning are delivered.
   [[nodiscard]] std::uint64_t watch(
       const std::string& key,
       std::function<void(const svc::watch_event&)> fn);
 
   /// Cancel a watch. After return the callback will not run again
-  /// (calling it from inside its own callback is safe and exempt from
-  /// that wait). Unknown ids are a no-op.
+  /// (called from a callback it does not wait, and the cancelled watch
+  /// is skipped for the rest of the event). Unknown ids are a no-op.
   void unwatch(std::uint64_t id);
   /// Politely drop everything this client holds (wire op, issued on
   /// every stripe). Returns the number of keys released across all
@@ -202,11 +204,6 @@ class client {
     std::thread reader;
   };
 
-  struct watch_entry {
-    std::string key;
-    std::function<void(const svc::watch_event&)> fn;
-  };
-
   /// One server-side subscription shared by every local watch on a key
   /// (the wire carries one event frame per transition per key, however
   /// many callbacks fan out locally).
@@ -220,11 +217,6 @@ class client {
     /// key piggyback instead of issuing a second wire op.
     bool subscribing = false;
   };
-
-  /// Events buffered between the reader and the event thread while
-  /// callbacks run; past the cap new events are dropped (the peer of
-  /// the hub-side bound — a wedged callback must not buffer forever).
-  static constexpr std::size_t max_queued_watch_events = 1u << 16;
 
   /// submit + take; empty on transport failure.
   [[nodiscard]] std::optional<wire::response> call(wire::op kind,
@@ -271,13 +263,6 @@ class client {
                                                  const std::string& key,
                                                  std::uint64_t timeout_ms);
   void reader_main(channel& ch);
-  /// Queue one op::event push frame for the event thread (reader
-  /// thread; never runs callbacks itself — a callback making a
-  /// synchronous call on this client would otherwise deadlock waiting
-  /// for its own reply).
-  void dispatch_event(const wire::response& r);
-  /// Deliver queued events to the matching watch callbacks.
-  void event_main();
   /// Mark the whole client dead (one stripe down = all down) and wake
   /// every waiter.
   void fail();
@@ -309,19 +294,15 @@ class client {
   std::condition_variable pending_cv_;
   std::unordered_map<std::uint64_t, slot> pending_;
 
+  /// Local watches and their callbacks; its notifier starts with the
+  /// first watch(), so a client that never subscribes runs no thread
+  /// for the ability to. Lock order: watch_mutex_ before the hub's
+  /// mutex (add); remove() may wait on a delivery, so it never runs
+  /// under watch_mutex_.
+  svc::watch_hub hub_;
+  /// Guards key_subs_: one wire subscription per key.
   std::mutex watch_mutex_;
-  std::condition_variable watch_cv_;
-  std::unordered_map<std::uint64_t, watch_entry> watches_;
   std::unordered_map<std::string, key_subscription> key_subs_;
-  std::deque<svc::watch_event> event_queue_;
-  std::uint64_t next_watch_id_ = 1;
-  /// Watch id currently being invoked by the event thread (0 = none);
-  /// unwatch waits for it so the after-return guarantee holds.
-  std::uint64_t delivering_watch_ = 0;
-  bool watch_stop_ = false;
-  /// Started lazily by the first watch(): most clients never subscribe
-  /// and should not pay a parked thread for the ability to.
-  std::thread event_thread_;
 };
 
 }  // namespace elect::net

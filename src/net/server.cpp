@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/file.hpp"
 #include "obs/prom.hpp"
 #include "obs/trace.hpp"
 
@@ -46,6 +47,15 @@ std::uint64_t lease_remaining_ms(
   if (left <= std::chrono::steady_clock::duration::zero()) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(left).count());
+}
+
+/// writev without SIGPIPE: a peer that reset its end must cost the
+/// server an EPIPE on that connection, not the process.
+ssize_t send_iov(int fd, iovec* iov, int iov_count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = static_cast<std::size_t>(iov_count);
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
 /// Write the whole buffer to a non-blocking socket, parking on POLLOUT
@@ -155,29 +165,6 @@ std::string inspection_json(const svc::key_inspection& k) {
   out += std::to_string(k.last_epoch_attempts);
   out += '}';
   return out;
-}
-
-/// Persist a snapshot via write-to-temp + rename, so a crash mid-write
-/// never leaves a torn file where a restore expects a whole one.
-bool write_snapshot_file(const std::string& path,
-                         const std::vector<std::uint8_t>& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return false;
-  const bool wrote =
-      bytes.empty() ||
-      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  const bool flushed = std::fflush(file) == 0;
-  const bool closed = std::fclose(file) == 0;
-  if (!(wrote && flushed && closed)) {
-    (void)std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    (void)std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 /// The network front-end's own Prometheus series, appended after the
@@ -990,25 +977,21 @@ void server::serve(const pending& p) {
 }
 
 // ---------------------------------------------------------------------
-// The watch router. One hub subscription per watched key; fanout_event
-// fans the hub's callback to every wire subscriber of that key.
-//
-// Lock order: router_mutex_ → out_mutex → pause_mutex, never reversed.
-// service_.watch (hub add) is brief and safe anywhere; service_.unwatch
-// (hub remove) can block until in-flight deliveries finish, and a
-// delivery takes router_mutex_ — so unwatch is NEVER called with
-// router_mutex_ held.
+// Wire watches: one hub subscription each, held by its connection.
+// service_.watch takes the service's watch locks (hub, feed) but never
+// waits on a delivery, so it may run under park_mutex; service_.unwatch
+// can wait for an in-flight delivery, whose callback takes this
+// connection's out_mutex and a reactor's inbox lock, so it never runs
+// under a server lock.
 
 void server::serve_watch(const pending& p, wire::response& r) {
   const connection_ptr& conn = p.conn;
-  const std::string& key = p.req.key;
   std::uint64_t id = 0;
-  bool need_subscribe = false;
   {
-    const std::lock_guard<std::mutex> lock(router_mutex_);
-    // closed is set before finish_connection takes this lock to collect
-    // watch ids, so either finish sees the id we add here, or we see
-    // closed and refuse — never a leaked registration.
+    // Under park_mutex, where teardown sets `closed` and takes the
+    // watch ids: either teardown takes this id back, or we see closed
+    // and refuse — a watch never outlives its connection.
+    const std::lock_guard<std::mutex> lock(conn->park_mutex);
     if (conn->closed.load(std::memory_order_relaxed)) {
       r.result = wire::status::rejected;
       return;
@@ -1019,53 +1002,14 @@ void server::serve_watch(const pending& p, wire::response& r) {
       r.result = wire::status::busy;
       return;
     }
-    id = next_router_id_++;
-    watch_key_state& ks = router_by_key_[key];
-    ks.ids.push_back(id);
-    router_by_id_.emplace(id, watch_target{key, conn});
-    conn->watch_ids.push_back(id);
-    if (ks.hub_id == 0 && !ks.subscribing) {
-      ks.subscribing = true;
-      need_subscribe = true;
-    }
-  }
-  if (need_subscribe) {
-    // First watcher on this key: register the single hub subscription
-    // whose callback serves every wire subscriber of the key.
-    const std::uint64_t hub_id = service_.watch(
-        key, [this](const svc::watch_event& e) { fanout_event(e); });
-    std::uint64_t drop_hub = 0;
-    bool failed = false;
-    {
-      const std::lock_guard<std::mutex> lock(router_mutex_);
-      // The entry cannot vanish while `subscribing` is set (unwatch and
-      // finish_connection leave it for us), so the lookup holds.
-      const auto kit = router_by_key_.find(key);
-      kit->second.subscribing = false;
-      if (hub_id != 0 && !kit->second.ids.empty()) {
-        kit->second.hub_id = hub_id;
-      } else {
-        if (hub_id == 0) {
-          // Service stopped under us: roll back this registration.
-          failed = true;
-          router_by_id_.erase(id);
-          auto& ids = kit->second.ids;
-          ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-          auto& wids = conn->watch_ids;
-          wids.erase(std::remove(wids.begin(), wids.end(), id), wids.end());
-        } else {
-          drop_hub = hub_id;  // everyone left while we registered
-        }
-        if (kit->second.ids.empty() && kit->second.hub_id == 0) {
-          router_by_key_.erase(kit);
-        }
-      }
-    }
-    if (drop_hub != 0) service_.unwatch(drop_hub);
-    if (failed) {
+    id = service_.watch(p.req.key, [this, conn](const svc::watch_event& e) {
+      push_event(conn, e);
+    });
+    if (id == 0) {  // the service stopped
       r.result = wire::status::rejected;
       return;
     }
+    conn->watch_ids.push_back(id);
   }
   counters_.watch_subscriptions.fetch_add(1, std::memory_order_relaxed);
   r.result = wire::status::ok;
@@ -1074,67 +1018,27 @@ void server::serve_watch(const pending& p, wire::response& r) {
 
 void server::serve_unwatch(const pending& p, wire::response& r) {
   const std::uint64_t id = p.req.epoch;
-  std::uint64_t drop_hub = 0;
+  bool owned = false;
   {
-    const std::lock_guard<std::mutex> lock(router_mutex_);
-    const auto idit = router_by_id_.find(id);
-    // Only ids this connection registered are cancelled — an unknown or
+    // Only ids this connection holds are cancelled — an unknown or
     // foreign id is a harmless no-op, not a protocol violation.
-    if (idit != router_by_id_.end() && idit->second.conn == p.conn) {
-      const std::string key = idit->second.key;
-      router_by_id_.erase(idit);
-      auto& wids = p.conn->watch_ids;
-      wids.erase(std::remove(wids.begin(), wids.end(), id), wids.end());
-      const auto kit = router_by_key_.find(key);
-      if (kit != router_by_key_.end()) {
-        auto& ids = kit->second.ids;
-        ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-        if (ids.empty() && !kit->second.subscribing) {
-          drop_hub = kit->second.hub_id;
-          router_by_key_.erase(kit);
-        }
-      }
-    }
+    const std::lock_guard<std::mutex> lock(p.conn->park_mutex);
+    owned = std::erase(p.conn->watch_ids, id) != 0;
   }
-  if (drop_hub != 0) service_.unwatch(drop_hub);
+  if (owned) service_.unwatch(id);
   r.result = wire::status::ok;
 }
 
-void server::fanout_event(const svc::watch_event& e) {
+void server::push_event(const connection_ptr& conn,
+                        const svc::watch_event& e) {
   if (stopping_.load(std::memory_order_relaxed)) return;
-  // The fast lane: encode the event ONCE into a shared immutable
-  // buffer; every subscriber's ring gets the same bytes by reference.
-  auto buf = std::make_shared<const std::vector<std::uint8_t>>(
-      wire::encode_response(wire::make_event(e)));
-  std::vector<connection_ptr> targets;
-  {
-    const std::lock_guard<std::mutex> lock(router_mutex_);
-    const auto kit = router_by_key_.find(e.key);
-    if (kit == router_by_key_.end()) return;
-    targets.reserve(kit->second.ids.size());
-    for (const std::uint64_t id : kit->second.ids) {
-      const auto idit = router_by_id_.find(id);
-      if (idit != router_by_id_.end()) targets.push_back(idit->second.conn);
-    }
+  bool need_post = false;
+  if (!enqueue_frame(conn, wire::encode_response(wire::make_event(e)),
+                     /*is_event=*/true, need_post)) {
+    counters_.events_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  // Group the flush posts by owning reactor: one inbox lock + one
-  // eventfd kick per reactor, however many subscribers it hosts.
-  std::vector<std::vector<connection_ptr>> by_reactor(reactors_.size());
-  for (const connection_ptr& conn : targets) {
-    bool need_post = false;
-    if (!enqueue_frame(conn, buf, /*is_event=*/true, need_post)) {
-      counters_.events_dropped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (need_post) {
-      by_reactor[static_cast<std::size_t>(conn->owner.index)].push_back(conn);
-    }
-  }
-  for (std::size_t i = 0; i < by_reactor.size(); ++i) {
-    if (!by_reactor[i].empty()) {
-      post_flush_batch(*reactors_[i], std::move(by_reactor[i]));
-    }
-  }
+  if (need_post) post_flush(conn->owner, conn);
 }
 
 void server::serve_admin(const pending& p, wire::response& r) {
@@ -1180,7 +1084,9 @@ void server::serve_admin(const pending& p, wire::response& r) {
       bool written = false;
       bool write_failed = false;
       if (!config_.snapshot_path.empty()) {
-        written = write_snapshot_file(config_.snapshot_path, snap);
+        // Durably: a crash or power loss never leaves a torn file
+        // where a restore expects a whole one.
+        written = replace_file_durably(config_.snapshot_path, snap);
         write_failed = !written;
       }
       const cmd::log_stats stats = service_.registry().log_stats();
@@ -1341,12 +1247,11 @@ void server::finish(const acquire_ptr& op, const wire::response* r) {
 // ---------------------------------------------------------------------
 // Response path: output rings, writev flushes, backpressure, teardown.
 
-bool server::enqueue_frame(
-    const connection_ptr& conn,
-    std::shared_ptr<const std::vector<std::uint8_t>> bytes, bool is_event,
-    bool& need_post) {
+bool server::enqueue_frame(const connection_ptr& conn,
+                           std::vector<std::uint8_t> bytes, bool is_event,
+                           bool& need_post) {
   need_post = false;
-  const std::size_t size = bytes->size();
+  const std::size_t size = bytes.size();
   bool overflow = false;
   {
     const std::lock_guard<std::mutex> lock(conn->out_mutex);
@@ -1374,10 +1279,9 @@ bool server::enqueue_frame(
 void server::send_response(const connection_ptr& conn,
                            const wire::response& r) {
   if (conn->closed.load(std::memory_order_relaxed)) return;
-  auto frame = std::make_shared<const std::vector<std::uint8_t>>(
-      wire::encode_response(r));
   bool need_post = false;
-  if (enqueue_frame(conn, std::move(frame), /*is_event=*/false, need_post) &&
+  if (enqueue_frame(conn, wire::encode_response(r), /*is_event=*/false,
+                    need_post) &&
       need_post) {
     post_flush(conn->owner, conn);
   }
@@ -1403,16 +1307,6 @@ void server::post_flush(reactor& r, const connection_ptr& conn) {
     return;
   }
   post(r, [&] { r.flush_inbox.push_back(conn); });
-}
-
-void server::post_flush_batch(reactor& r, std::vector<connection_ptr> conns) {
-  if (current_reactor_tls == &r) {
-    for (const auto& conn : conns) flush_connection(r, conn);
-    return;
-  }
-  post(r, [&] {
-    for (auto& conn : conns) r.flush_inbox.push_back(std::move(conn));
-  });
 }
 
 void server::post_resume(reactor& r, const connection_ptr& conn) {
@@ -1442,7 +1336,7 @@ std::pair<std::uint64_t, std::uint64_t> server::pop_written(
   std::uint64_t events = 0;
   while (wrote > 0 && !conn.outbox.empty()) {
     out_frame& front = conn.outbox.front();
-    const std::size_t left = front.bytes->size() - conn.out_offset;
+    const std::size_t left = front.bytes.size() - conn.out_offset;
     if (wrote >= left) {
       wrote -= left;
       conn.out_offset = 0;
@@ -1471,8 +1365,8 @@ void server::flush_connection(reactor& r, const connection_ptr& conn) {
       for (const out_frame& f : conn->outbox) {
         if (iov_count == 64) break;
         iov[iov_count].iov_base =
-            const_cast<std::uint8_t*>(f.bytes->data() + offset);
-        iov[iov_count].iov_len = f.bytes->size() - offset;
+            const_cast<std::uint8_t*>(f.bytes.data() + offset);
+        iov[iov_count].iov_len = f.bytes.size() - offset;
         offset = 0;
         ++iov_count;
       }
@@ -1488,7 +1382,7 @@ void server::flush_connection(reactor& r, const connection_ptr& conn) {
       conn->stall_armed = false;
       break;
     }
-    const ssize_t wrote = ::writev(conn->fd, iov, iov_count);
+    const ssize_t wrote = send_iov(conn->fd, iov, iov_count);
     if (wrote < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -1670,10 +1564,11 @@ void server::start_close(const connection_ptr& conn) {
 void server::finish_connection(reactor& r, const connection_ptr& conn) {
   if (r.connections.erase(conn->fd) == 0) return;  // already finished
   bool was_closed = false;
+  std::vector<std::uint64_t> watches;
   {
     // Take parked acquires back, answered `rejected` on stop (a dead peer
-    // needs none); `closed` is set under the same lock, so nothing parks
-    // after.
+    // needs none), and the watches; `closed` is set under the same lock,
+    // so nothing parks or watches after.
     const std::lock_guard<std::mutex> lock(conn->park_mutex);
     for (const auto& [id, op] : conn->parked_ops) {
       // Failed: its wake re-queued it, and the executor finds `closed`.
@@ -1686,6 +1581,7 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
       finish(op, stopping_.load(std::memory_order_relaxed) ? &answer : nullptr);
     }
     conn->parked_ops.clear();
+    watches.swap(conn->watch_ids);
     was_closed = conn->closed.exchange(true);
   }
   if (!was_closed) {
@@ -1701,12 +1597,12 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
       for (const out_frame& f : conn->outbox) {
         if (iov_count == 64) break;
         iov[iov_count].iov_base =
-            const_cast<std::uint8_t*>(f.bytes->data() + offset);
-        iov[iov_count].iov_len = f.bytes->size() - offset;
+            const_cast<std::uint8_t*>(f.bytes.data() + offset);
+        iov[iov_count].iov_len = f.bytes.size() - offset;
         offset = 0;
         ++iov_count;
       }
-      const ssize_t wrote = ::writev(conn->fd, iov, iov_count);
+      const ssize_t wrote = send_iov(conn->fd, iov, iov_count);
       if (wrote <= 0) {
         if (wrote < 0 && errno == EINTR) continue;
         break;
@@ -1743,30 +1639,8 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
       counters_.events_dropped.fetch_add(dropped, std::memory_order_relaxed);
     }
   }
-  // Cancel the connection's watch registrations. Hub subscriptions
-  // whose last subscriber this was are removed OUTSIDE the router lock:
-  // hub remove waits for in-flight deliveries, and a delivery takes the
-  // router lock (fanout_event) — holding it here would deadlock.
-  std::vector<std::uint64_t> hub_drops;
-  {
-    const std::lock_guard<std::mutex> lock(router_mutex_);
-    for (const std::uint64_t id : conn->watch_ids) {
-      const auto idit = router_by_id_.find(id);
-      if (idit == router_by_id_.end()) continue;
-      const std::string key = idit->second.key;
-      router_by_id_.erase(idit);
-      const auto kit = router_by_key_.find(key);
-      if (kit == router_by_key_.end()) continue;
-      auto& ids = kit->second.ids;
-      ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-      if (ids.empty() && !kit->second.subscribing) {
-        if (kit->second.hub_id != 0) hub_drops.push_back(kit->second.hub_id);
-        router_by_key_.erase(kit);
-      }
-    }
-    conn->watch_ids.clear();
-  }
-  for (const std::uint64_t hub : hub_drops) service_.unwatch(hub);
+  // Outside every lock: a removal waits out an in-flight delivery.
+  for (const std::uint64_t id : watches) service_.unwatch(id);
   if (conn->session.has_value()) {
     // The disconnect-on-close hook: whatever the remote client held is
     // reclaimed NOW — its rivals re-elect immediately instead of

@@ -26,7 +26,7 @@
 //
 // Writes: responses are never written by the thread that produced
 // them. Every encoded frame lands in the connection's output ring (a
-// deque of shared immutable buffers) and the owning reactor flushes
+// deque of encoded frames) and the owning reactor flushes
 // the ring with writev — one syscall coalesces every frame that is
 // ready, EAGAIN arms EPOLLOUT, and a consumer that makes no progress
 // for event_write_budget_ms is declared dead by the reactor's timer
@@ -34,11 +34,11 @@
 // plus an eventfd kick, so all epoll_ctl and all socket writes happen
 // on the owning reactor thread.
 //
-// Watch fanout rides a fast lane: the server keeps ONE hub
-// subscription per watched key; its callback encodes the event frame
-// once into a shared immutable buffer and appends that same buffer to
-// every subscribed connection's output ring, grouped per reactor with
-// one wakeup each — encode once, writev many.
+// Watches: each wire watch is one svc::watch_hub subscription, held by
+// its connection. The hub's notifier runs its callback, which encodes
+// the event frame and appends it to that connection's output ring like
+// any response. N connections watching one key cost N subscriptions and
+// N encodes per event.
 //
 // Every connection is backed by ONE svc::service session, so the
 // service-side crash story carries over the wire unchanged: when the
@@ -257,11 +257,9 @@ class server {
   struct reactor;
   struct acquire_op;
 
-  /// One encoded frame queued for a connection. The buffer is shared
-  /// and immutable so the watch fast lane can hand the SAME encoded
-  /// event to thousands of rings without copying it once per watcher.
+  /// One encoded frame queued for a connection.
   struct out_frame {
-    std::shared_ptr<const std::vector<std::uint8_t>> bytes;
+    std::vector<std::uint8_t> bytes;
     bool is_event = false;
   };
 
@@ -300,11 +298,15 @@ class server {
     std::atomic<int> in_flight{0};
     std::atomic<int> parked{0};
     /// Parked acquires by registry waiter id, so teardown can take them
-    /// back. park_mutex also orders a park against the op's deadline
-    /// timer and against teardown (which sets `closed` under it).
+    /// back. park_mutex also orders a park or a watch against the op's
+    /// deadline timer and against teardown (which sets `closed` under
+    /// it and takes both lists).
     std::mutex park_mutex;
     std::unordered_map<std::uint64_t, std::shared_ptr<acquire_op>>
         parked_ops;
+    /// Hub subscription ids of this connection's wire watches (guarded
+    /// by park_mutex).
+    std::vector<std::uint64_t> watch_ids;
     /// Guards paused/resume_queued and orders pause/resume against
     /// in_flight so a completion draining to zero can never race the
     /// reactor into a permanently paused socket.
@@ -312,11 +314,6 @@ class server {
     bool paused = false;
     /// A resume is already sitting in the owner's inbox.
     bool resume_queued = false;
-
-    /// Watch-router ids owned by this connection (guarded by the
-    /// server's router_mutex_, not a connection-local lock — watch
-    /// registration is cold next to the data path).
-    std::vector<std::uint64_t> watch_ids;
 
     std::atomic<bool> closed{false};
   };
@@ -408,23 +405,6 @@ class server {
     void push(pending p);
   };
 
-  /// The watch router: one hub subscription per watched key, fanned to
-  /// the wire subscribers by fanout_event. by_id is keyed by the wire
-  /// watch handle (what unwatch presents); by_key groups handles under
-  /// their shared hub subscription.
-  struct watch_target {
-    std::string key;
-    connection_ptr conn;
-  };
-  struct watch_key_state {
-    std::uint64_t hub_id = 0;
-    /// A hub subscription for this key is being registered (outside the
-    /// router lock). While set, the entry must not be erased — the
-    /// subscriber comes back to publish hub_id or drop it.
-    bool subscribing = false;
-    std::vector<std::uint64_t> ids;
-  };
-
   void reactor_main(reactor& r);
   void executor_main();
   /// Accept everything ready on r's listener. In fallback mode only
@@ -456,12 +436,11 @@ class server {
   /// also starts the close). Sets need_post when the caller must
   /// schedule a flush with the owning reactor.
   bool enqueue_frame(const connection_ptr& conn,
-                     std::shared_ptr<const std::vector<std::uint8_t>> bytes,
-                     bool is_event, bool& need_post);
+                     std::vector<std::uint8_t> bytes, bool is_event,
+                     bool& need_post);
   /// Hand the connection to its owner for a flush (inline when already
   /// on that reactor's thread).
   void post_flush(reactor& r, const connection_ptr& conn);
-  void post_flush_batch(reactor& r, std::vector<connection_ptr> conns);
   void post_resume(reactor& r, const connection_ptr& conn);
   void handle_resume(reactor& r, const connection_ptr& conn);
   /// Put a try_acquire_for's deadline on r's wheel (reactor thread).
@@ -485,10 +464,9 @@ class server {
       const wire::request& req, const svc::acquire_result& result);
   /// Encode one response frame into the connection's output ring.
   void send_response(const connection_ptr& conn, const wire::response& r);
-  /// The watch fast lane (hub notifier thread): encode the event once,
-  /// append the shared buffer to every subscribed connection's ring,
-  /// one inbox post + wakeup per reactor that has subscribers.
-  void fanout_event(const svc::watch_event& e);
+  /// One wire watch's hub callback (notifier thread): encode the event
+  /// into the connection's ring and post the flush.
+  void push_event(const connection_ptr& conn, const svc::watch_event& e);
   /// Register / cancel wire watches (executor thread).
   void serve_watch(const pending& p, wire::response& r);
   void serve_unwatch(const pending& p, wire::response& r);
@@ -511,11 +489,11 @@ class server {
   /// Initiate teardown from any thread: shutdown() the socket so the
   /// owning reactor sees it and runs finish_connection exactly once.
   void start_close(const connection_ptr& conn);
-  /// Reactor-thread-only: take parked acquires back (answered
-  /// `rejected` on stop), final opportunistic flush (a bad_request
-  /// refusal must still reach the peer), unregister, cancel watches,
-  /// disconnect the session (the lease-reclaim hook), drop from the
-  /// map.
+  /// Reactor-thread-only: take parked acquires and watches back
+  /// (parked ones answered `rejected` on stop), final opportunistic
+  /// flush (a bad_request refusal must still reach the peer),
+  /// unregister, cancel the watches' hub subscriptions, disconnect the
+  /// session (the lease-reclaim hook), drop from the map.
   void finish_connection(reactor& r, const connection_ptr& conn);
   void handle_handshake(const connection_ptr& conn,
                         const wire::request& req);
@@ -545,16 +523,6 @@ class server {
   std::atomic<std::uint64_t> next_connection_id_{1};
 
   std::shared_ptr<work_queue> queue_ = std::make_shared<work_queue>();
-
-  /// Watch router state. Lock order: router_mutex_ before any
-  /// connection's out_mutex (fanout path); hub calls (service_.watch /
-  /// unwatch) that can block on delivery NEVER run under router_mutex_
-  /// except add — remove is always deferred past the unlock, because
-  /// the notifier may be parked on router_mutex_ inside fanout_event.
-  std::mutex router_mutex_;
-  std::unordered_map<std::uint64_t, watch_target> router_by_id_;
-  std::unordered_map<std::string, watch_key_state> router_by_key_;
-  std::uint64_t next_router_id_ = 1;
 
   struct counters {
     std::atomic<std::uint64_t> connections_accepted{0};

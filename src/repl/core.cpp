@@ -173,9 +173,10 @@ core::core(cluster_config config, svc::service& service, vote_record vote,
   // quorum commit (or an installed snapshot) lets observers read on.
   drain_ = service_.registry().open_cursor();
   service_.registry().commit_manually();
-  // Every member boots as a follower: no local lease expiry until this
-  // member wins a term.
-  service_.set_sweeper_suspended(true);
+  // Every member boots as a follower: its registry originates no
+  // mutation (no grant, no release, no lease expiry) until it wins a
+  // term.
+  service_.registry().set_replica(true);
   reset_election_deadline(now_ms);
 }
 
@@ -192,6 +193,12 @@ void core::reset_election_deadline(std::uint64_t now_ms) {
 effects core::step_down(std::uint64_t new_term, std::uint64_t now_ms) {
   const bool was_primary = role_ == role::primary;
   if (was_primary) {
+    // Only a primary originates mutations. The switch takes every shard
+    // lock, so each live mutation in flight lands before it — and is
+    // drained below — or is refused after it: nothing a client, the
+    // sweeper or a disconnect reclaim does from here on can run the
+    // registry ahead of the log.
+    service_.registry().set_replica(true);
     // Ship any live-applied commands not drained yet, while term_ is
     // still the term they were executed under. This keeps log ==
     // registry at last_index across the demotion, so applied_index_
@@ -211,9 +218,6 @@ effects core::step_down(std::uint64_t new_term, std::uint64_t now_ms) {
   if (role_ != role::follower) ++counters_.step_downs;
   role_ = role::follower;
   if (was_primary) {
-    // Followers never expire leases locally — expiry is a mutation and
-    // only the primary may originate mutations into the log.
-    service_.set_sweeper_suspended(true);
     // Parked acquirers re-check too: a follower's epochs will not move
     // for them, so they must go answer not_primary. The wakes only
     // hand off.
@@ -278,11 +282,11 @@ effects core::become_primary() {
     p.force_snapshot = false;
     p.due_ms = 0;
   }
-  // Fence and resume expiry. fence_all takes every shard lock and hands
-  // parked acquirers their wakes; the drain ships its epoch_bumped
-  // commands next. The suffix applied above was replayed, not logged,
-  // so it never re-ships.
-  service_.set_sweeper_suspended(false);
+  // Originate again, then fence. fence_all takes every shard lock and
+  // hands parked acquirers their wakes; the drain ships its
+  // epoch_bumped commands next. The suffix applied above was replayed,
+  // not logged, so it never re-ships.
+  service_.registry().set_replica(false);
   (void)service_.registry().fence_all(config_.fence_bump);
   (void)drain_log();
   return {.send = true, .commit = advance_commit()};

@@ -6,7 +6,7 @@
 // registry drain cursor and the needs-install flag; per-peer replication
 // progress; the election and heartbeat deadlines; the counters and the
 // seeded election-timeout RNG. The core calls into svc::service (drain,
-// apply, commit watermarks, snapshots, fencing, the sweeper switch)
+// apply, commit watermarks, snapshots, fencing, the replica switch)
 // exactly as a member must.
 //
 // What is left to the runner that hosts it: everything that waits or
@@ -72,11 +72,16 @@
 // every entry any quorum may have committed. It applies the inherited
 // suffix to its registry ahead of commit, appends a barrier entry at
 // the new term (whose quorum replication commits the whole prefix — the
-// current-term commit guard makes counting replicas safe), fences the
-// registry, resumes the lease sweeper (only primaries decide expiry),
-// and starts replicating. A deposed primary first drains its registry's
-// pending commands into the log under the old term, so log and registry
-// stay in lockstep across the demotion; only an actual apply divergence
+// current-term commit guard makes counting replicas safe), switches its
+// registry from replica to primary (only a primary originates
+// mutations: grants, releases, renewals, lease expiry, reclaims), fences
+// it, and starts replicating. A deposed primary first switches its
+// registry back to replica — under every shard lock, so each live
+// mutation in flight lands before the switch or is refused after it —
+// then drains the registry's pending commands into the log under the
+// old term, so log and registry stay in lockstep across the demotion
+// and nothing a client, the sweeper or a disconnect reclaim does later
+// can run the registry ahead of the log; only an actual apply divergence
 // (seq gap after compaction) marks a member needs-install, which bars
 // it from candidacy until the primary's snapshot install rebases it.
 #pragma once
@@ -177,8 +182,8 @@ class core {
   static constexpr std::uint64_t tick_ms = 10;
 
   /// The service must outlive the core. Opens the drain cursor, takes
-  /// over the registry's commit watermark and suspends the lease
-  /// sweeper: every member boots as a follower with `vote` as its
+  /// over the registry's commit watermark and holds the registry as a
+  /// replica: every member boots as a follower with `vote` as its
   /// durable vote state.
   core(cluster_config config, svc::service& service, vote_record vote,
        vote_writer writer, std::uint64_t now_ms);

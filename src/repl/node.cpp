@@ -1,15 +1,14 @@
 #include "repl/node.hpp"
 
-#include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/file.hpp"
 
 namespace elect::repl {
 
@@ -19,8 +18,9 @@ namespace {
 //
 // The one-shot-per-term vote must survive a restart, or a rebooted
 // member could hand the same term to two candidates. Tiny text file,
-// tmp + fsync + rename — the same durability idiom as the server's
-// snapshot files. Empty state_dir keeps the vote in memory.
+// replaced durably (replace_file_durably: the temp file and the
+// directory are both fsynced). Empty state_dir keeps the vote in
+// memory.
 
 std::string vote_path(const cluster_config& c) {
   return c.state_dir + "/repl_vote_" + std::to_string(c.self);
@@ -47,14 +47,11 @@ vote_record load_vote(const cluster_config& c) {
 vote_writer file_writer(const cluster_config& c) {
   if (c.state_dir.empty()) return [](const vote_record&) { return true; };
   return [path = vote_path(c)](const vote_record& v) {
-    const std::string tmp = path + ".tmp";
-    FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) return false;
-    const bool written =
-        std::fprintf(f, "v1 %" PRIu64 " %d\n", v.term, v.voted_for) > 0 &&
-        std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-    return std::fclose(f) == 0 && written &&
-           std::rename(tmp.c_str(), path.c_str()) == 0;
+    const std::string text = "v1 " + std::to_string(v.term) + " " +
+                             std::to_string(v.voted_for) + "\n";
+    return replace_file_durably(
+        path, {reinterpret_cast<const std::uint8_t*>(text.data()),
+               text.size()});
   };
 }
 

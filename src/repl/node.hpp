@@ -42,9 +42,10 @@ namespace elect::repl {
 class node {
  public:
   /// The service must outlive the node. The node opens its drain cursor
-  /// on the service's registry and takes over its commit watermark, and
-  /// immediately suspends the service's lease sweeper — every member
-  /// boots as a follower; only a promotion resumes it. With a state_dir,
+  /// on the service's registry, takes over its commit watermark, and
+  /// holds the registry as a replica — every member boots as a
+  /// follower, and only a promotion lets it originate mutations (lease
+  /// expiry included). With a state_dir,
   /// a vote file that exists but cannot be read or parsed aborts
   /// construction (a member that forgot its vote could vote twice).
   node(cluster_config config, svc::service& service);

@@ -39,7 +39,8 @@ void instance_registry::enable_command_log() {
 
 instance_registry::instance_registry(int shard_count,
                                      std::uint64_t first_instance)
-    : next_instance_(first_instance), base_(clock::now()) {
+    : next_instance_(first_instance),
+      origin_(clock::now().time_since_epoch().count()) {
   ELECT_CHECK(shard_count >= 1);
   ELECT_CHECK_MSG(first_instance < instance_id_limit,
                   "first_instance starts past the election-id guard");
@@ -59,11 +60,29 @@ instance_registry::shard& instance_registry::shard_for(
   return *shards_[static_cast<std::size_t>(shard_of(key))];
 }
 
+instance_registry::clock::time_point instance_registry::origin() const {
+  return clock::time_point(
+      clock::duration(origin_.load(std::memory_order_relaxed)));
+}
+
 std::uint64_t instance_registry::logical_now_ms() const {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(clock::now() -
-                                                            base_)
+                                                            origin())
           .count());
+}
+
+void instance_registry::move_clock_to(std::uint64_t at_ms) {
+  const auto origin = clock::now() - std::chrono::milliseconds(at_ms);
+  origin_.store(origin.time_since_epoch().count(), std::memory_order_relaxed);
+}
+
+instance_registry::clock::time_point instance_registry::steady_deadline(
+    std::uint64_t logical_deadline_ms) const {
+  if (logical_deadline_ms == cmd::lease_forever) {
+    return clock::time_point::max();
+  }
+  return origin() + std::chrono::milliseconds(logical_deadline_ms);
 }
 
 election::election_id instance_registry::allocate_instance() {
@@ -94,7 +113,6 @@ instance_registry::key_state& instance_registry::state_locked(
 
 void instance_registry::bump_epoch_locked(key_state& state) {
   state.leader = -1;
-  state.lease_deadline = clock::time_point::max();
   state.logical_deadline_ms = cmd::lease_forever;
   state.entry.epoch++;
   state.entry.instance = allocate_instance();
@@ -107,15 +125,11 @@ void instance_registry::set_lease_locked(key_state& state,
                                          const cmd::command& c) {
   // The >= guard keeps a pathological near-forever TTL from wrapping the
   // logical deadline back into the past.
-  if (c.lease_ms == cmd::lease_forever ||
-      c.lease_ms >= cmd::lease_forever - c.at_ms) {
-    state.logical_deadline_ms = cmd::lease_forever;
-    state.lease_deadline = clock::time_point::max();
-    return;
-  }
-  state.logical_deadline_ms = c.at_ms + c.lease_ms;
-  state.lease_deadline =
-      base_ + std::chrono::milliseconds(state.logical_deadline_ms);
+  state.logical_deadline_ms =
+      c.lease_ms == cmd::lease_forever ||
+              c.lease_ms >= cmd::lease_forever - c.at_ms
+          ? cmd::lease_forever
+          : c.at_ms + c.lease_ms;
 }
 
 void instance_registry::execute_locked(shard& s, key_state& state,
@@ -237,6 +251,10 @@ adaptive_attempt instance_registry::begin_adaptive_attempt(
     result.fast = {fast_claim_outcome::shutdown, {}};
     return result;
   }
+  if (replica_.load(std::memory_order_relaxed)) {
+    result.fast = {fast_claim_outcome::replica, {}};
+    return result;
+  }
   if (state.mode == grant_mode::protocol_armed) {
     // An election is (or was) running for this epoch: the fast path must
     // stay off it — the protocol's winner owns the grant.
@@ -253,7 +271,8 @@ adaptive_attempt instance_registry::begin_adaptive_attempt(
               {.kind = cmd::command_kind::acquire_granted, .session = session,
                .epoch = state.entry.epoch, .mode = cmd::grant_mode_fast_claimed,
                .at_ms = logical_now_ms(), .lease_ms = lease_ms_for(ttl)});
-  result.fast = {fast_claim_outcome::claimed, state.lease_deadline};
+  result.fast = {fast_claim_outcome::claimed,
+                 steady_deadline(state.logical_deadline_ms)};
   return result;
 }
 
@@ -292,12 +311,14 @@ instance_registry::claim_win(const std::string& key, std::uint64_t epoch,
   ELECT_CHECK_MSG(state.mode != grant_mode::fast_claimed,
                   "protocol claim on a fast-claimed epoch — the fencing "
                   "that keeps the two grant paths apart is broken");
-  if (state.leader != -1) return std::nullopt;
+  if (state.leader != -1 || replica_.load(std::memory_order_relaxed)) {
+    return std::nullopt;
+  }
   emit_locked(s, state, key,
               {.kind = cmd::command_kind::acquire_granted, .session = session,
                .epoch = epoch, .mode = cmd::grant_mode_protocol,
                .at_ms = logical_now_ms(), .lease_ms = lease_ms_for(ttl)});
-  return state.lease_deadline;
+  return steady_deadline(state.logical_deadline_ms);
 }
 
 int instance_registry::leader_of(const std::string& key) {
@@ -312,7 +333,7 @@ instance_registry::lease_deadline_of(const std::string& key) {
   const std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.keys.find(key);
   if (it == s.keys.end() || it->second.leader == -1) return std::nullopt;
-  return it->second.lease_deadline;
+  return steady_deadline(it->second.logical_deadline_ms);
 }
 
 void instance_registry::fence_after_end_locked(shard& s, key_state& state,
@@ -338,6 +359,9 @@ lease_status instance_registry::end_epoch(const std::string& key,
   wake_list wakes;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
+    if (replica_.load(std::memory_order_relaxed)) {
+      return lease_status::connection_lost;
+    }
     const auto it = s.keys.find(key);
     const lease_status verdict =
         refuse(it == s.keys.end() ? nullptr : &it->second);
@@ -397,6 +421,9 @@ lease_status instance_registry::renew(const std::string& key, int session,
                                       clock::duration ttl) {
   shard& s = shard_for(key);
   const std::lock_guard<std::mutex> lock(s.mutex);
+  if (replica_.load(std::memory_order_relaxed)) {
+    return lease_status::connection_lost;
+  }
   const auto it = s.keys.find(key);
   if (it == s.keys.end()) {
     // Same implicit-epoch-0 rule as the fenced release above.
@@ -421,6 +448,7 @@ std::size_t instance_registry::bump_matching(
     std::size_t bumped_here = 0;
     {
       const std::lock_guard<std::mutex> lock(s.mutex);
+      if (replica_.load(std::memory_order_relaxed)) return bumped;
       const std::uint64_t at = logical_now_ms();
       for (auto& [key, state] : s.keys) {
         if (!predicate(state)) continue;
@@ -485,7 +513,7 @@ std::vector<key_inspection> instance_registry::list_keys() const {
       info.key = key;
       info.entry = state.entry;
       info.leader = state.leader;
-      info.lease_deadline = state.lease_deadline;
+      info.lease_deadline = steady_deadline(state.logical_deadline_ms);
       info.mode = grant_mode_name(static_cast<int>(state.mode));
       info.attempts_this_epoch = state.attempts_this_epoch;
       info.last_epoch_attempts = state.last_epoch_attempts;
@@ -506,7 +534,7 @@ std::optional<key_inspection> instance_registry::inspect(
   info.key = key;
   info.entry = it->second.entry;
   info.leader = it->second.leader;
-  info.lease_deadline = it->second.lease_deadline;
+  info.lease_deadline = steady_deadline(it->second.logical_deadline_ms);
   info.mode = grant_mode_name(static_cast<int>(it->second.mode));
   info.attempts_this_epoch = it->second.attempts_this_epoch;
   info.last_epoch_attempts = it->second.last_epoch_attempts;
@@ -536,8 +564,9 @@ std::vector<std::string> instance_registry::keys_held_by(int session) const {
 std::size_t instance_registry::sweep_expired(
     clock::time_point now, const std::function<void(int)>& on_expired) {
   return bump_matching(
-      [now](const key_state& state) {
-        return state.leader != -1 && state.lease_deadline <= now;
+      [this, now](const key_state& state) {
+        return state.leader != -1 &&
+               steady_deadline(state.logical_deadline_ms) <= now;
       },
       on_expired, cmd::command_kind::expired);
 }
@@ -692,6 +721,11 @@ std::optional<std::string> instance_registry::apply(const cmd::command& c) {
         if (c.epoch < state.entry.epoch) return epoch_mismatch();
         break;
     }
+    // The stream's clock becomes this registry's: a lease inherited
+    // through replication expires on the granting member's schedule
+    // (late by the apply delay, never early), and a promoted member
+    // stamps on from where the stream was.
+    move_clock_to(c.at_ms);
     execute_locked(s, state, c);
     // Replayed commands keep their recorded seq; advancing the watermark
     // (instead of re-appending) is what makes a post-replay snapshot
@@ -775,14 +809,21 @@ std::optional<std::string> instance_registry::restore(
   if (key_count() != 0) {
     return "restore requires an empty registry";
   }
-  const std::uint64_t logical = logical_now_ms();
-  const clock::time_point now = clock::now();
+  // The snapshot's newest watermark is the stream's clock: moving this
+  // registry's clock there re-anchors every remaining TTL to it (a lease
+  // with 3 s left when its shard last moved expires at most 3 s after
+  // the restore, never earlier than on the recorder).
+  std::uint64_t logical = 0;
+  for (const cmd::snapshot_shard& in : data.shards) {
+    logical = std::max(logical, in.last_at_ms);
+  }
+  move_clock_to(logical);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard& s = *shards_[i];
     const cmd::snapshot_shard& in = data.shards[i];
     const std::lock_guard<std::mutex> lock(s.mutex);
     rebase_locked(s, in.last_seq);
-    s.last_at_ms = logical;
+    s.last_at_ms = in.last_at_ms;
     for (const cmd::snapshot_key& k : in.keys) {
       if (shard_of(k.key) != static_cast<int>(i)) {
         return "snapshot key '" + k.key + "' does not map to shard " +
@@ -794,17 +835,14 @@ std::optional<std::string> instance_registry::restore(
       state.mode = static_cast<grant_mode>(k.mode);
       if (k.leader == -1 || k.lease_rel_ms == cmd::lease_rel_none) {
         state.logical_deadline_ms = cmd::lease_forever;
-        state.lease_deadline = clock::time_point::max();
       } else {
-        // Re-anchor the remaining TTL (possibly negative: past due and
-        // unswept at snapshot time — the first sweep here expires it)
-        // to this registry's clock.
+        // The deadline on the stream's clock (possibly already past:
+        // due and unswept at snapshot time — the first sweep here
+        // expires it).
         const std::int64_t deadline =
-            static_cast<std::int64_t>(logical) + k.lease_rel_ms;
+            static_cast<std::int64_t>(in.last_at_ms) + k.lease_rel_ms;
         state.logical_deadline_ms =
             deadline < 0 ? 0 : static_cast<std::uint64_t>(deadline);
-        state.lease_deadline =
-            now + std::chrono::milliseconds(k.lease_rel_ms);
       }
       if (fence_restored) {
         // Bump every restored key: a pre-snapshot leaseholder may have
@@ -839,7 +877,6 @@ std::optional<std::string> instance_registry::install_snapshot(
     const std::lock_guard<std::mutex> lock(s.mutex);
     s.keys.clear();
     rebase_locked(s, 0);
-    s.last_at_ms = 0;
   }
   const auto error = restore(bytes, /*fence_restored=*/false);
   // Every waiter retries against the installed (or cleared) state.
@@ -856,6 +893,7 @@ std::size_t instance_registry::fence_all(std::uint64_t bump) {
     std::size_t fenced_here = 0;
     {
       const std::lock_guard<std::mutex> lock(s.mutex);
+      if (replica_.load(std::memory_order_relaxed)) return fenced;
       const std::uint64_t at = logical_now_ms();
       for (auto& [key, state] : s.keys) {
         if (state.leader != -1) {
@@ -946,6 +984,16 @@ std::size_t instance_registry::parked_count() const {
     for (const auto& [key, parked] : shard_ptr->waiters) total += parked.size();
   }
   return total;
+}
+
+void instance_registry::set_replica(bool replica) {
+  // Every shard lock at once (in index order; nothing else holds two):
+  // a live mutation decides and executes under its shard's lock, so
+  // each one lands wholly before the switch or sees it.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (auto& shard_ptr : shards_) locks.emplace_back(shard_ptr->mutex);
+  replica_.store(replica, std::memory_order_relaxed);
 }
 
 void instance_registry::shutdown() {

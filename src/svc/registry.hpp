@@ -52,6 +52,26 @@
 // last executed command on a standalone registry, and the replication
 // layer moves it on a cluster member (commit_manually()).
 //
+// The clock. Commands are stamped with `at_ms`, milliseconds on the
+// registry's logical clock, and a lease deadline is a point on that
+// clock; its steady-clock time (what the sweeper and callers see) is
+// derived from the clock's origin whenever it is read. A standalone
+// registry counts from its construction. apply() moves the clock to
+// the command's at_ms and a snapshot install or restore moves it to the
+// snapshot's newest watermark, so a replica runs on the replicated
+// stream's clock, not its own start time: an inherited lease expires
+// late by at most the apply delay and never early, and a promoted
+// member stamps on from where the stream was.
+//
+// The replica rule. Only a primary originates mutations. While
+// set_replica(true) holds (repl::core: from construction, from a step
+// down until the next promotion), every live-path mutator — both grant
+// paths, release, reclaim, renew, force_release, release_all /
+// reclaim_all, the sweep and fence_all — changes nothing: grants lose
+// (fast_claim_outcome::replica, claim_win empty), lease ops answer
+// `connection_lost` (what a failed commit gate answers), bulk enders
+// end nothing. apply(), replay() and install_snapshot() still run.
+//
 // Each begin_attempt() is counted per epoch; the count (plus the final
 // count of the previous epoch) is the contention estimate the adaptive
 // strategy steers by.
@@ -138,13 +158,13 @@ enum class lease_status {
   not_leader,
   /// The transport to the service died underneath the call — the
   /// connection was severed (peer crash, network fault), NOT closed by
-  /// this process. The registry never produces this; it is the network
-  /// client's verdict (net::client), distinguishable from both a real
-  /// fence (stale_epoch) and a user-initiated close() (which keeps the
-  /// PR-4 crash-semantics mapping to stale_epoch). The holder must stop
-  /// acting as leader either way; after a sever it may still hold the
-  /// lease server-side until the TTL or the disconnect reclaim fences
-  /// it.
+  /// this process — or the member stopped being primary (a failed
+  /// commit gate; a replica registry refusing a live mutation). It is
+  /// distinguishable from both a real fence (stale_epoch) and a
+  /// user-initiated close() (which keeps the crash-semantics mapping
+  /// to stale_epoch). The holder must stop acting as leader
+  /// either way; it may still hold the lease on the cluster until the
+  /// TTL or the disconnect reclaim fences it.
   connection_lost,
 };
 
@@ -164,6 +184,8 @@ enum class fast_claim_outcome {
   /// caller reports the acquire as rejected (the fast path must not
   /// hand out leases on a stopped service).
   shutdown,
+  /// The registry is a replica (set_replica): it grants nothing.
+  replica,
 };
 
 struct fast_claim_result {
@@ -462,9 +484,10 @@ class instance_registry {
   /// has read them too; an unshipped or unrendered command stays.
   [[nodiscard]] std::vector<std::uint8_t> snapshot(bool trim_log = false);
 
-  /// Load a snapshot into this (required: empty) registry. Remaining
-  /// lease TTLs are re-anchored to this registry's clock: a lease with
-  /// 3 s left at snapshot time expires ~3 s after the restore. With
+  /// Load a snapshot into this (required: empty) registry. The clock
+  /// moves to the snapshot's newest watermark (see the file comment),
+  /// so a lease with 3 s left at that point expires ~3 s after the
+  /// restore. With
   /// `fence_restored`, every restored key's epoch is then bumped (one
   /// `epoch_bumped` command each): pre-snapshot leaseholders answer
   /// `stale_epoch` from their first fenced op, instead of being
@@ -496,6 +519,13 @@ class instance_registry {
   [[nodiscard]] std::optional<std::string> install_snapshot(
       const std::vector<std::uint8_t>& bytes);
 
+  /// Switch the replica rule (see the file comment) on or off. Takes
+  /// every shard lock, so no live mutation straddles the switch.
+  void set_replica(bool replica);
+  [[nodiscard]] bool replica() const noexcept {
+    return replica_.load(std::memory_order_relaxed);
+  }
+
   /// Failover fencing (elect::repl): called by a node the moment it
   /// becomes primary, with the cluster's --fence-bump margin. Every
   /// known *unheld* key's epoch jumps by `bump` immediately (one
@@ -525,10 +555,9 @@ class instance_registry {
   struct key_state {
     instance_entry entry;
     int leader = -1;
-    clock::time_point lease_deadline = clock::time_point::max();
-    /// The same deadline on the logical clock (ms since construction);
-    /// cmd::lease_forever when non-expiring. What snapshots record —
-    /// wall-clock-independent, reconstructable from the command stream.
+    /// The lease deadline on the logical clock; cmd::lease_forever when
+    /// non-expiring (or unheld). What snapshots record — wall-clock
+    /// independent, reconstructable from the command stream.
     std::uint64_t logical_deadline_ms = cmd::lease_forever;
     grant_mode mode = grant_mode::open;
     /// Contention estimate inputs (see attempt_info).
@@ -578,15 +607,19 @@ class instance_registry {
   /// Allocate a fresh instance id; aborts at instance_id_limit (see
   /// file comment) instead of wrapping the 32-bit var_id namespace.
   [[nodiscard]] election::election_id allocate_instance();
-  /// Milliseconds since construction — the logical clock commands are
-  /// stamped with (steady-based: immune to wall-clock jumps).
+  /// The logical clock commands are stamped with: milliseconds since
+  /// its origin (steady-based: immune to wall-clock jumps).
   [[nodiscard]] std::uint64_t logical_now_ms() const;
+  [[nodiscard]] clock::time_point origin() const;
+  /// Move the clock so that it reads `at_ms` now (the stream's clock).
+  void move_clock_to(std::uint64_t at_ms);
+  /// The steady-clock time of a logical deadline (max() for forever).
+  [[nodiscard]] clock::time_point steady_deadline(
+      std::uint64_t logical_deadline_ms) const;
   /// Bump `key` to a fresh (instance, epoch) with no holder. Caller holds
   /// the shard lock and must wake the key's waiters after unlocking.
   void bump_epoch_locked(key_state& state);
-  /// Stamp both lease-deadline representations from a grant/renewal
-  /// command (steady deadline derived from the logical one, so live and
-  /// replayed executions agree).
+  /// Stamp the lease deadline from a grant/renewal command.
   void set_lease_locked(key_state& state, const cmd::command& c);
   /// THE mutation funnel: execute `c` against `state` — deterministic
   /// given the command — and advance the shard's logical clock. Shared
@@ -644,8 +677,10 @@ class instance_registry {
   /// The history cursor's id (0 = record_commands off).
   std::atomic<std::uint64_t> history_{0};
   std::atomic<bool> manual_commit_{false};
-  /// Origin of the logical clock.
-  const clock::time_point base_;
+  /// See set_replica(); written under every shard lock.
+  std::atomic<bool> replica_{false};
+  /// Origin of the logical clock (steady time_since_epoch ticks).
+  std::atomic<clock::rep> origin_;
 };
 
 }  // namespace elect::svc

@@ -321,9 +321,8 @@ void service::sweeper_main() {
   while (!sweeper_stop_) {
     sweeper_cv_.wait_for(lock, interval, [this] { return sweeper_stop_; });
     if (sweeper_stop_) return;
-    // Suspended (cluster follower): keep the thread, skip the sweep —
+    // On a cluster follower the replica registry expires nothing:
     // expiry is the primary's decision, replicated as a command.
-    if (sweeper_suspended_.load(std::memory_order_relaxed)) continue;
     lock.unlock();
     sweep_now();
     lock.lock();
@@ -338,7 +337,15 @@ void service::sweeper_main() {
 
 acquire_result service::gate_acquire(acquire_result result,
                                      const std::string& key, int session_id) {
-  if (!result.won) return result;
+  if (!result.won) {
+    // A replica grants nothing: its losers hear what a failed gate
+    // says, so they go find the primary instead of waiting here.
+    if (registry_.replica()) {
+      result.rejected = true;
+      result.connection_lost = true;
+    }
+    return result;
+  }
   if (commit_gate_ && !commit_gate_(key)) {
     // The grant applied locally but never reached a quorum: this
     // primary may not confirm it, so nobody believes they hold it.
@@ -524,7 +531,8 @@ engine::task<std::int64_t> service::driver(worker& w) {
         // The claim arbiter behind sifter_pill / doorway_only survivors
         // (and the full protocol's winner report): an epoch-fenced CAS
         // in the registry. Runs inside the pool run, synchronously.
-        ctx.claim = [this, j, &result] {
+        bool replica_refused = false;
+        ctx.claim = [this, j, &result, &replica_refused] {
           const std::uint64_t t0 = j->trace != 0 ? obs::now_ns() : 0;
           const auto deadline = registry_.claim_win(
               j->key, result.epoch, j->session_id, lease_ttl());
@@ -532,7 +540,13 @@ engine::task<std::int64_t> service::driver(worker& w) {
             obs::record_for(j->trace, obs::phase::lease_grant, t0,
                             obs::now_ns());
           }
-          if (!deadline.has_value()) return false;
+          if (!deadline.has_value()) {
+            // A replica registry grants nothing. That is no second
+            // winner, so the protocol hears the claim held; the attempt
+            // still loses below.
+            replica_refused = registry_.replica();
+            return replica_refused;
+          }
           result.lease_deadline = *deadline;
           return true;
         };
@@ -544,7 +558,8 @@ engine::task<std::int64_t> service::driver(worker& w) {
           obs::record_for(j->trace, obs::phase::election, elect_start,
                           obs::now_ns());
         }
-        result.won = outcome == election::tas_result::win;
+        result.won =
+            outcome == election::tas_result::win && !replica_refused;
       }
     }
     prune_participated(w);
@@ -600,6 +615,9 @@ acquire_result service::run_acquire(int session_id, process_id pid,
     if (attempt.fast_attempted) {
       const fast_claim_result& fast = attempt.fast;
       if (fast.outcome == fast_claim_outcome::shutdown) return reject();
+      if (fast.outcome == fast_claim_outcome::replica) {
+        return gate_acquire(acquire_result{}, key, session_id);
+      }
       if (fast.outcome != fast_claim_outcome::armed) {
         acquire_result result;
         result.epoch = j.entry.epoch;
@@ -663,6 +681,7 @@ lease_status service::count_lease_op(const std::string& key,
                                      lease_status status, bool renewal,
                                      std::uint64_t epoch) {
   const int shard = registry_.shard_of(key);
+  if (status == lease_status::connection_lost) return status;  // replica
   if (status != lease_status::ok) {
     metrics_.record_stale_fence(shard);
     if (journal_) {

@@ -344,18 +344,13 @@ class service {
   /// what demotes a zombie's clients before a fenced successor can
   /// double-grant. Install before serving traffic; swapping the gate is
   /// not synchronized against in-flight calls.
+  ///
+  /// A cluster member that is not primary holds its registry as a
+  /// replica (instance_registry::set_replica): every live mutation —
+  /// the sweeper's expiry included — changes nothing there, and a
+  /// refused op gets the failed gate's answer, `connection_lost`.
   void set_commit_gate(std::function<bool(const std::string&)> gate) {
     commit_gate_ = std::move(gate);
-  }
-
-  /// Suspend/resume the lease-expiry sweeper without tearing down its
-  /// thread. Cluster followers suspend it — only the primary decides
-  /// expiry (an `expired` command the followers then replicate), so a
-  /// follower sweeping locally would fork the replica state — and the
-  /// node resumes it on promotion. sweep_now() remains callable either
-  /// way (tests and embedders drive their own clock through it).
-  void set_sweeper_suspended(bool suspended) noexcept {
-    sweeper_suspended_.store(suspended, std::memory_order_relaxed);
   }
 
  private:
@@ -517,7 +512,6 @@ class service {
   /// Replication commit gate (cluster mode); empty in single-node use,
   /// where every mutation is trivially durable the moment it applies.
   std::function<bool(const std::string&)> commit_gate_;
-  std::atomic<bool> sweeper_suspended_{false};
 
   /// The observer feed: a registry cursor read through the commit
   /// watermark. `feed_mutex_` serializes reading and rendering, so each

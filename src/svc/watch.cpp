@@ -30,33 +30,34 @@ std::uint64_t watch_hub::add(std::string key, callback fn) {
   const std::uint64_t id = next_id_++;
   by_key_[key].push_back(id);
   watchers_.emplace(
-      id, watcher{std::move(key),
-                  std::make_shared<const callback>(std::move(fn))});
+      id, watcher{std::move(key), std::make_shared<subscription>(std::move(fn))});
   return id;
 }
 
-bool watch_hub::remove(std::uint64_t id) {
+std::optional<std::string> watch_hub::remove(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mutex_);
   const auto it = watchers_.find(id);
-  if (it == watchers_.end()) return false;
-  const auto by_key = by_key_.find(it->second.key);
+  if (it == watchers_.end()) return std::nullopt;
+  std::string key = std::move(it->second.key);
+  const auto by_key = by_key_.find(key);
   if (by_key != by_key_.end()) {
     auto& ids = by_key->second;
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
     if (ids.empty()) by_key_.erase(by_key);
   }
+  it->second.sub->removed.store(true);
   watchers_.erase(it);
   // The after-remove guarantee: wait out any in-flight delivery to this
   // id, so the caller can destroy callback state the moment we return.
-  // The notifier itself (a callback cancelling its own subscription)
-  // must not wait on its own delivery.
+  // The notifier itself (a callback cancelling a subscription) must not
+  // wait on its own delivery; `removed` skips the rest of the event.
   if (std::this_thread::get_id() != notifier_.get_id()) {
     delivered_cv_.wait(lock, [&] {
       return std::find(delivering_.begin(), delivering_.end(), id) ==
              delivering_.end();
     });
   }
-  return true;
+  return key;
 }
 
 void watch_hub::set_drop_hook(std::function<void(const std::string&)> fn) {
@@ -104,20 +105,24 @@ void watch_hub::notifier_main() {
     // Snapshot the matching callbacks (refcount bumps, not function
     // copies); invoke outside the mutex so a callback can publish,
     // subscribe, or call back into the service.
-    std::vector<std::pair<std::uint64_t, std::shared_ptr<const callback>>>
-        targets;
+    std::vector<std::shared_ptr<subscription>> targets;
     const auto by_key = by_key_.find(event.key);
     if (by_key != by_key_.end()) {
       targets.reserve(by_key->second.size());
       for (const std::uint64_t id : by_key->second) {
-        targets.emplace_back(id, watchers_.at(id).fn);
+        targets.push_back(watchers_.at(id).sub);
+        delivering_.push_back(id);
       }
-      for (const auto& [id, fn] : targets) delivering_.push_back(id);
     }
     if (targets.empty()) continue;
     lock.unlock();
-    for (const auto& [id, fn] : targets) (*fn)(event);
-    delivered_.fetch_add(targets.size(), std::memory_order_relaxed);
+    std::uint64_t delivered = 0;
+    for (const auto& sub : targets) {
+      if (sub->removed.load()) continue;  // cancelled mid-event
+      sub->fn(event);
+      ++delivered;
+    }
+    delivered_.fetch_add(delivered, std::memory_order_relaxed);
     lock.lock();
     delivering_.clear();
     delivered_cv_.notify_all();

@@ -12,6 +12,12 @@
 // runs the callbacks — so a slow watcher can never stall an election, a
 // release, or the sweeper.
 //
+// The hub is the only subscription table on the watch path. On the
+// server, each wire watch is one subscription whose callback encodes
+// the event into that connection's output ring (net::server); on the
+// client, the reader publishes every pushed event into a hub the
+// net::client owns, and its notifier runs the user's callbacks.
+//
 // Guarantees (the ones api::client::watch documents to users):
 //   * every transition on a watched key that happens after add()
 //     returns is delivered exactly once per subscription, in the order
@@ -20,11 +26,11 @@
 //     (max_queued_events), in which case events are counted as dropped
 //     rather than blocking the publisher;
 //   * there is NO ordering guarantee across different keys;
-//   * after remove() returns, the callback will never run again (remove
-//     blocks while a delivery to that subscription is in flight — which
-//     is also why a callback must not call remove() for a *different*
-//     subscription that may itself be mid-delivery; cancelling its own
-//     is fine and detected).
+//   * after remove() returns, the callback will never run again: remove
+//     blocks while the event being delivered to that subscription is in
+//     flight. Called from a callback (the notifier thread) it does not
+//     wait; the removed subscription is skipped for the rest of the
+//     event, so a callback may cancel its own subscription or any other.
 //
 // Callbacks run on the notifier thread. They may call back into the
 // service (acquire/release take only the pool mutex and shard locks,
@@ -40,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -93,10 +100,11 @@ class watch_hub {
   [[nodiscard]] std::uint64_t add(std::string key, callback fn);
 
   /// Unsubscribe. Blocks until no delivery to this subscription is in
-  /// flight, so the callback never runs after remove() returns (safe
-  /// from inside the subscription's own callback). Returns false — and
+  /// flight, so the callback never runs after remove() returns (from a
+  /// callback it does not wait, and the subscription is skipped for the
+  /// rest of the event). Returns the subscription's key; nothing — and
   /// does nothing — for an unknown id.
-  bool remove(std::uint64_t id);
+  std::optional<std::string> remove(std::uint64_t id);
 
   /// Called (outside the hub mutex) with the key of each event dropped
   /// to the queue bound — the journal's watch_drop feed. Set before any
@@ -120,9 +128,16 @@ class watch_hub {
   /// per-event snapshot copies one refcount per target instead of a
   /// deep std::function (which may own captured state — at fanout scale
   /// those copies were the hub's hottest allocation).
+  struct subscription {
+    explicit subscription(callback f) : fn(std::move(f)) {}
+    const callback fn;
+    /// Set by remove(); the notifier skips a removed subscription for
+    /// the rest of the event it is delivering.
+    std::atomic<bool> removed{false};
+  };
   struct watcher {
     std::string key;
-    std::shared_ptr<const callback> fn;
+    std::shared_ptr<subscription> sub;
   };
 
   void notifier_main();

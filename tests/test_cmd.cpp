@@ -340,6 +340,48 @@ TEST(CmdLease, FencedRestoreRejectsPreRestartEpochs) {
   EXPECT_GT(*new_epoch, *old_epoch);
 }
 
+// A replica's lease clock is the replicated stream's, not its own start
+// time: applying a grant gives the replica a deadline no earlier than
+// the granter's and later by at most the apply delay, whichever of the
+// two registries was built first.
+void check_applied_deadline(bool granter_first) {
+  std::unique_ptr<svc::instance_registry> granter;
+  std::unique_ptr<svc::instance_registry> replica;
+  (granter_first ? granter : replica) =
+      std::make_unique<svc::instance_registry>(1);
+  std::this_thread::sleep_for(300ms);
+  (granter_first ? replica : granter) =
+      std::make_unique<svc::instance_registry>(1);
+  granter->enable_command_log();
+
+  const auto grant_start = clock_type::now();
+  ASSERT_TRUE(acquire_via_registry(*granter, "clock/lease", 7, 2000ms));
+  std::this_thread::sleep_for(50ms);  // the replication delay
+  const auto commands = retained_commands(*granter);
+  ASSERT_EQ(commands.size(), 1u);
+  ASSERT_FALSE(replica->apply(commands[0]).has_value());
+  const auto apply_delay = clock_type::now() - grant_start;
+
+  const auto granted = granter->lease_deadline_of("clock/lease");
+  const auto applied = replica->lease_deadline_of("clock/lease");
+  ASSERT_TRUE(granted.has_value());
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_GE(*applied, *granted) << "the replica would expire the lease early";
+  EXPECT_LE(*applied - *granted, apply_delay + 5ms)
+      << "the replica would keep the lease past its TTL";
+  // Never early: a sweep just before the granter's deadline ends nothing.
+  EXPECT_EQ(replica->sweep_expired(*granted - 1ms), 0u);
+  EXPECT_EQ(replica->leader_of("clock/lease"), 7);
+}
+
+TEST(CmdLease, AppliedLeaseRunsOnTheStreamClockGranterBuiltFirst) {
+  check_applied_deadline(/*granter_first=*/true);
+}
+
+TEST(CmdLease, AppliedLeaseRunsOnTheStreamClockReplicaBuiltFirst) {
+  check_applied_deadline(/*granter_first=*/false);
+}
+
 // ---------------------------------------------------------------------
 // Parity: the strategy × backend matrix, live vs record-then-replay.
 

@@ -1,9 +1,18 @@
-// Unit tests for common/: rng, math helpers, stats, scaling-law fitting.
+// Unit tests for common/: rng, math helpers, stats, scaling-law fitting,
+// durable file replacement.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <set>
+#include <stdlib.h>
 
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <set>
+#include <span>
+#include <string>
+
+#include "common/file.hpp"
 #include "common/fit.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -250,6 +259,64 @@ TEST(Fit, ConstantData) {
   const auto fit = fit_law(
       growth_law{"const", [](double) { return 1.0; }}, xs, ys);
   EXPECT_NEAR(fit.r_squared, 1.0, 1e-9);
+}
+
+// --------------------------------------------------------------- file --
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::span<const std::uint8_t> as_bytes(const std::string& text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+/// A fresh scratch directory under the system temp dir.
+std::string scratch_dir() {
+  std::string pattern =
+      (std::filesystem::temp_directory_path() / "elect_file_XXXXXX").string();
+  const char* made = ::mkdtemp(pattern.data());
+  EXPECT_NE(made, nullptr);
+  return pattern;
+}
+
+TEST(DurableFile, ReplacesContentWhole) {
+  const std::string dir = scratch_dir();
+  const std::string path = dir + "/state";
+  ASSERT_TRUE(replace_file_durably(path, as_bytes("first, longer content")));
+  EXPECT_EQ(read_file(path), "first, longer content");
+  ASSERT_TRUE(replace_file_durably(path, as_bytes("second")));
+  EXPECT_EQ(read_file(path), "second");
+  ASSERT_TRUE(replace_file_durably(path, {}));
+  EXPECT_EQ(read_file(path), "");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DurableFile, FailureLeavesTheOldFileAndNoTempFile) {
+  const std::string dir = scratch_dir();
+  // A path under a regular file: the temp file cannot be created
+  // (ENOTDIR), and the regular file is untouched.
+  const std::string plain = dir + "/plain";
+  ASSERT_TRUE(replace_file_durably(plain, as_bytes("old")));
+  EXPECT_FALSE(replace_file_durably(plain + "/state", as_bytes("new")));
+  EXPECT_EQ(read_file(plain), "old");
+  // The temp file is written but the rename fails (the target is a
+  // non-empty directory): the temp file is removed, the target stays.
+  const std::string target = dir + "/target";
+  std::filesystem::create_directory(target);
+  ASSERT_TRUE(replace_file_durably(target + "/inside", as_bytes("kept")));
+  EXPECT_FALSE(replace_file_durably(target, as_bytes("new")));
+  EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
+  EXPECT_EQ(read_file(target + "/inside"), "kept");
+  std::size_t entries = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    (void)e;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 2u);  // plain and target: nothing left behind
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

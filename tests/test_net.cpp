@@ -1063,6 +1063,127 @@ TEST(NetRemote, DeadConnectionTearsDownItsWatches) {
   }
 }
 
+TEST(NetRemote, EachWireWatchIsOneHubSubscription) {
+  // Two connections watching one key hold two hub subscriptions, each
+  // delivering every transition once to its own connection.
+  remote_stack stack;
+  const auto first = stack.connect();
+  const auto second = stack.connect();
+  const auto actor = stack.connect();
+  std::mutex mutex;
+  std::condition_variable cv;
+  int counts[2] = {0, 0};
+  for (int w = 0; w < 2; ++w) {
+    net::client& watcher = w == 0 ? *first : *second;
+    ASSERT_NE(watcher.watch("per/wire", [&, w](const svc::watch_event&) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ++counts[w];
+      cv.notify_all();
+    }), 0u);
+  }
+  EXPECT_EQ(stack.service.report().watch.active, 2u);
+
+  const auto won = actor->try_acquire("per/wire");
+  ASSERT_TRUE(won.won);
+  EXPECT_EQ(actor->release("per/wire", won.epoch), svc::lease_status::ok);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 3s, [&] {
+      return counts[0] >= 2 && counts[1] >= 2;
+    }));
+  }
+  std::this_thread::sleep_for(100ms);  // let any (wrong) duplicates land
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(counts[0], 2);
+    EXPECT_EQ(counts[1], 2);
+  }
+  first->close();
+  const auto gone_by = std::chrono::steady_clock::now() + 3s;
+  while (stack.service.report().watch.active != 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), gone_by);
+    std::this_thread::sleep_for(5ms);
+  }
+}
+
+TEST(NetRemote, WatchChurnRacingCloseLeavesNothingBehind) {
+  // Clients on several threads watch and unwatch one key while a writer
+  // churns it, and every third client is closed while its watch op is
+  // in flight — the race between a subscribe and connection teardown.
+  // Afterwards no hub subscription and no feed cursor is left, and no
+  // callback ran after its unwatch() returned.
+  net::server_config two_reactors;
+  two_reactors.reactors = 2;
+  two_reactors.reuseport = false;
+  remote_stack stack({.nodes = 2, .shards = 2}, two_reactors);
+  const std::string key = "churn/watch";
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    auto session = stack.service.connect();
+    while (writing.load()) {
+      const auto won = session.try_acquire(key);
+      if (won.won) (void)session.release(key, won.epoch);
+    }
+  });
+
+  std::atomic<int> late{0};
+  std::atomic<int> delivered{0};
+  constexpr int threads = 4;
+  constexpr int rounds = 24;
+  std::vector<std::thread> watchers;
+  for (int t = 0; t < threads; ++t) {
+    watchers.emplace_back([&, t] {
+      for (int i = 0; i < rounds; ++i) {
+        auto client = stack.connect();
+        ASSERT_TRUE(client->connected());
+        auto cancelled = std::make_shared<std::atomic<bool>>(false);
+        const auto callback = [cancelled, &late,
+                               &delivered](const svc::watch_event&) {
+          if (cancelled->load()) late.fetch_add(1);
+          delivered.fetch_add(1);
+        };
+        if (i % 3 == 2) {
+          std::thread closer([&] {
+            std::this_thread::sleep_for(std::chrono::microseconds(50 * t));
+            client->close();
+          });
+          (void)client->watch(key, callback);
+          closer.join();
+          continue;
+        }
+        const std::uint64_t a = client->watch(key, callback);
+        const std::uint64_t b = client->watch(key, callback);
+        ASSERT_NE(a, 0u);
+        ASSERT_NE(b, 0u);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1 + i % 4));
+        client->unwatch(a);
+        client->unwatch(b);
+        cancelled->store(true);
+        // Half the clients leave their wire watch to teardown.
+        if (i % 2 == 0) {
+          const std::uint64_t c = client->watch(key, [](auto&) {});
+          ASSERT_NE(c, 0u);
+        }
+      }
+    });
+  }
+  for (auto& t : watchers) t.join();
+  writing.store(false);
+  writer.join();
+
+  const auto gone_by = std::chrono::steady_clock::now() + 5s;
+  while (stack.service.report().watch.active != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), gone_by)
+        << stack.service.report().watch.active << " subscriptions leaked";
+    std::this_thread::sleep_for(5ms);
+  }
+  // No watcher and no journal: the observer feed's cursor is closed, so
+  // the registry records nothing.
+  EXPECT_FALSE(stack.service.registry().log_stats().recording);
+  EXPECT_EQ(late.load(), 0) << "a callback ran after its unwatch returned";
+  EXPECT_GT(delivered.load(), 0);
+}
+
 // ---------------------------------------------------------------------
 // Multi-reactor coverage. reuseport=false forces the single-listener
 // round-robin accept path, which deals connections across reactors

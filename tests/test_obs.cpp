@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -396,6 +397,61 @@ TEST(WatchHub, OverflowDropsAreCountedAndSurvivorsDeliverExactlyOnce) {
   }
   hub.remove(id);
   hub.stop();
+}
+
+// A callback may cancel a *different* subscription: the cancelled one
+// is skipped for the rest of the event being delivered (and every later
+// one), and the remove from the notifier thread does not wait on the
+// delivery it is part of.
+TEST(WatchHub, CallbackCancellingAnotherSubscriptionStopsIt) {
+  svc::watch_hub hub;
+  std::mutex mutex;
+  std::condition_variable cv;
+  int first_calls = 0;
+  int second_calls = 0;
+  std::uint64_t second = 0;
+  std::optional<std::string> removed_key;
+
+  // Subscribed first, so it is delivered first within an event.
+  const std::uint64_t first =
+      hub.add("obs/cancel", [&](const svc::watch_event&) {
+        std::optional<std::string> key;
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          ++first_calls;
+          if (first_calls != 1) {
+            cv.notify_all();
+            return;
+          }
+        }
+        key = hub.remove(second);
+        const std::lock_guard<std::mutex> lock(mutex);
+        removed_key = key;
+        cv.notify_all();
+      });
+  second = hub.add("obs/cancel", [&](const svc::watch_event&) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++second_calls;
+  });
+  ASSERT_NE(first, 0u);
+  ASSERT_NE(second, 0u);
+
+  hub.publish("obs/cancel", 1, svc::transition::elected, 7);
+  hub.publish("obs/cancel", 1, svc::transition::released, 7);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return first_calls >= 2; }));
+    ASSERT_TRUE(removed_key.has_value());
+    EXPECT_EQ(*removed_key, "obs/cancel");
+    EXPECT_EQ(second_calls, 0)
+        << "a subscription cancelled mid-event must not run for it";
+  }
+  // Joining the notifier makes the delivery count final.
+  hub.stop();
+  EXPECT_EQ(hub.report().active, 1u);
+  EXPECT_EQ(hub.report().delivered, 2u);
+  EXPECT_FALSE(hub.remove(second).has_value());
+  EXPECT_EQ(hub.remove(first), std::optional<std::string>("obs/cancel"));
 }
 
 }  // namespace

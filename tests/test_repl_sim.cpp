@@ -19,14 +19,16 @@
 // renew through svc::service sessions on whichever member believes it is
 // primary, with no commit gate installed: the harness acks an op once
 // that member's commit covers the op's (shard, seq), fails it if the
-// member steps down first, and revokes an unconfirmed grant after
-// commit_wait_ms — the gate's contract, without a blocked thread.
+// member steps down first, and revokes an unconfirmed grant on a step
+// down or after commit_wait_ms — the gate's contract, without a blocked
+// thread. A worker that moves off a member that is no longer primary
+// reclaims its session there, as the server's disconnect hook does when
+// a redirected client closes its connection.
 //
 // The judge checks, as the run goes: at most one primary per term; an
 // (index, term) any member reported committed never changes on any
 // member, and no member's commit index falls; members whose registries
-// applied the same log prefix hold byte-identical registry snapshots
-// (the shard watermark's wall-clock at_ms aside);
+// applied the same log prefix hold byte-identical registry snapshots;
 // chaos::check passes over the client history; and after the final calm
 // stretch (10 election timeouts, every member up and connected) a
 // primary exists and a client op committed.
@@ -58,7 +60,6 @@
 
 #include "chaos/checker.hpp"
 #include "chaos/history.hpp"
-#include "cmd/snapshot.hpp"
 #include "net/wire.hpp"
 #include "repl/config.hpp"
 #include "repl/core.hpp"
@@ -194,6 +195,9 @@ class simulation {
     std::optional<std::pair<std::string, std::uint64_t>> lease;
     int lease_member = -1;
     int lease_incarnation = 0;
+    /// The member (and its incarnation) the worker last sent an op to.
+    int member = -1;
+    int member_incarnation = 0;
     std::uint64_t generation = 0;
   };
 
@@ -763,14 +767,9 @@ void simulation::check_replicas() {
     for (int s = 0; s < registry.shard_count(); ++s) {
       key.push_back(registry.shard_last_seq(s));
     }
-    // The shard watermark's at_ms is the registry's wall clock, and an
-    // installed snapshot re-anchors it locally; everything else must
-    // match byte for byte.
-    auto decoded = cmd::decode_snapshot(registry.snapshot());
-    for (cmd::snapshot_shard& shard : decoded.data->shards) {
-      shard.last_at_ms = 0;
-    }
-    auto bytes = cmd::encode_snapshot(*decoded.data);
+    // Byte for byte, the shard watermarks' at_ms included: every member
+    // runs on the replicated stream's clock.
+    auto bytes = registry.snapshot();
     const auto [it, fresh] = seen.emplace(key, std::pair{m, bytes});
     if (!fresh && it->second.second != bytes) {
       fail("members " + std::to_string(it->second.first) + " and " +
@@ -852,6 +851,12 @@ void simulation::resolve(int w) {
   }
   if (s.hung) return;
   if (!s.core->is_primary() || s.core->term() != op.term) {
+    // The gate revokes an unconfirmed grant here too; on a deposed
+    // member the replica registry refuses the revoke.
+    if (op.op == chaos::op_kind::acquire) {
+      (void)session(op.member, w).reclaim(op.key, op.epoch);
+      (void)s.core->drain();
+    }
     finish(w, chaos::outcome::connection_lost);
     return;
   }
@@ -890,6 +895,21 @@ void simulation::on_client(int w) {
   }
   const int m = primaries[draw(0, primaries.size() - 1)];
   member& s = at(m);
+  if (k.member >= 0 && k.member != m) {
+    // Failing over from a member that answers not_primary, the client
+    // closes its connection there, and that server's disconnect hook
+    // reclaims the connection's session — on a replica registry, which
+    // refuses it.
+    member& old = at(k.member);
+    auto& slot = old.sessions[static_cast<std::size_t>(w)];
+    if (old.up && old.incarnation == k.member_incarnation &&
+        !old.core->is_primary() && slot.has_value()) {
+      (void)slot->reclaim_all();
+      slot.reset();
+    }
+  }
+  k.member = m;
+  k.member_incarnation = s.incarnation;
   svc::service::session& sn = session(m, w);
   svc::instance_registry& registry = s.service->registry();
   pending_op op{.member = m,
@@ -1139,6 +1159,80 @@ TEST(ReplSimLab, UnresponsiveMemberDoesNotStallElections) {
   std::printf(
       "[ lab ] UnresponsiveMemberDoesNotStallElections: %llu messages\n",
       static_cast<unsigned long long>(r.messages));
+}
+
+// A deposed primary takes no live mutation: once the core steps down,
+// its registry is a replica. Member 0 wins term 1 and grants "k"; a
+// term-2 vote request deposes it; then a disconnect reclaim, a revoke
+// and a grant all change nothing — the shard seq and the holder stay
+// put, so the registry never runs ahead of the replicated log.
+TEST(ReplSimLab, DeposedPrimaryTakesNoMutation) {
+  std::vector<std::unique_ptr<svc::service>> services;
+  std::vector<std::unique_ptr<repl::core>> cores;
+  for (int m = 0; m < 3; ++m) {
+    svc::service_config sc;
+    sc.nodes = 2;
+    sc.shards = 2;
+    sc.session_id_base = m << 24;
+    sc.key_strategies["adaptive"] = election::strategy_kind::adaptive;
+    services.push_back(std::make_unique<svc::service>(std::move(sc)));
+    repl::cluster_config cc = sim_cluster(3, 5);
+    cc.self = m;
+    cores.push_back(std::make_unique<repl::core>(
+        cc, *services.back(), repl::vote_record{},
+        [](const repl::vote_record&) { return true; }, 0));
+  }
+  // Deliver `from`'s message for peer slot `slot` and fold the reply.
+  const auto exchange = [&](int from, std::size_t slot, int to,
+                            std::uint64_t now) {
+    const auto msg = cores[static_cast<std::size_t>(from)]->next_message(slot,
+                                                                        now);
+    ASSERT_TRUE(msg.has_value());
+    net::wire::request request;
+    request.kind = msg->kind;
+    request.body = msg->body;
+    net::wire::response reply;
+    (void)cores[static_cast<std::size_t>(to)]->handle_peer(request, now,
+                                                           reply);
+    (void)cores[static_cast<std::size_t>(from)]->on_reply(slot, *msg, reply,
+                                                          now);
+  };
+
+  (void)cores[0]->tick(200);  // past every election deadline
+  exchange(0, 0, 1, 200);     // member 1 votes for member 0
+  ASSERT_TRUE(cores[0]->is_primary());
+  ASSERT_EQ(cores[0]->term(), 1u);
+
+  svc::service& deposed = *services[0];
+  svc::instance_registry& registry = deposed.registry();
+  auto holder = deposed.connect();
+  const auto won = holder.try_acquire("k");
+  ASSERT_TRUE(won.won);
+  (void)cores[0]->drain();
+
+  (void)cores[1]->tick(400);  // member 1 starts term 2
+  exchange(1, 0, 0, 400);     // ... and its vote request deposes member 0
+  ASSERT_FALSE(cores[0]->is_primary());
+  ASSERT_EQ(cores[0]->term(), 2u);
+
+  const std::uint64_t seqs[2] = {registry.shard_last_seq(0),
+                                 registry.shard_last_seq(1)};
+  const std::uint64_t log_index = cores[0]->log().last_index();
+  EXPECT_EQ(holder.reclaim_all(), 0u);
+  EXPECT_EQ(holder.reclaim("k", won.epoch),
+            svc::lease_status::connection_lost);
+  auto rival = deposed.connect();
+  for (const std::string key : {"k", "fresh", "adaptive"}) {
+    const auto got = rival.try_acquire(key);
+    EXPECT_FALSE(got.won) << key;
+    EXPECT_TRUE(got.rejected && got.connection_lost) << key;
+  }
+  EXPECT_EQ(registry.shard_last_seq(0), seqs[0]);
+  EXPECT_EQ(registry.shard_last_seq(1), seqs[1]);
+  EXPECT_EQ(registry.leader_of("k"), holder.id());
+  EXPECT_EQ(registry.leader_of("fresh"), -1);
+  EXPECT_EQ(registry.leader_of("adaptive"), -1);
+  EXPECT_EQ(cores[0]->log().last_index(), log_index);
 }
 
 }  // namespace
