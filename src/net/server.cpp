@@ -361,7 +361,6 @@ server::server(svc::service& service, server_config config)
   reactors_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto r = std::make_unique<reactor>();
-    r->owner = this;
     r->index = i;
     reactors_.push_back(std::move(r));
   }
@@ -369,9 +368,9 @@ server::server(svc::service& service, server_config config)
   const auto fail = [this] {
     for (auto& re : reactors_) {
       if (re->epoll_fd >= 0) ::close(re->epoll_fd);
-      if (re->wake_fd >= 0) ::close(re->wake_fd);
+      if (re->mail->wake_fd >= 0) ::close(re->mail->wake_fd);
       if (re->listen_fd >= 0) ::close(re->listen_fd);
-      re->epoll_fd = re->wake_fd = re->listen_fd = -1;
+      re->epoll_fd = re->mail->wake_fd = re->listen_fd = -1;
     }
     if (http_listen_fd_ >= 0) {
       ::close(http_listen_fd_);
@@ -422,15 +421,16 @@ server::server(svc::service& service, server_config config)
 
   for (auto& re : reactors_) {
     re->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    re->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (re->epoll_fd < 0 || re->wake_fd < 0) {
+    re->mail->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (re->epoll_fd < 0 || re->mail->wake_fd < 0) {
       fail();
       return;
     }
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = re->wake_fd;
-    if (::epoll_ctl(re->epoll_fd, EPOLL_CTL_ADD, re->wake_fd, &ev) != 0) {
+    ev.data.fd = re->mail->wake_fd;
+    if (::epoll_ctl(re->epoll_fd, EPOLL_CTL_ADD, re->mail->wake_fd, &ev) !=
+        0) {
       fail();
       return;
     }
@@ -501,33 +501,40 @@ server::~server() { stop(); }
 void server::stop() {
   if (stopping_.exchange(true)) return;
   // Reactor teardown finishes every connection: parked acquires are
-  // taken back (answered `rejected`), queued work finds it closed.
+  // taken back (answered `rejected`), queued work finds it closed, and
+  // a cluster member's reclaims join the side pool's queue, which the
+  // executors drain before they exit.
   for (auto& re : reactors_) {
     if (re->thread.joinable()) {
-      wake(*re);
+      re->mail->kick();
       re->thread.join();
     }
   }
   {
-    const std::lock_guard<std::mutex> lock(queue_->mutex);
-    queue_->closed = true;
+    const std::lock_guard<std::mutex> lock(queue_.mutex);
+    queue_.closed = true;
   }
-  queue_->cv.notify_all();
+  queue_.cv.notify_all();
   for (auto& t : executors_) {
     if (t.joinable()) t.join();
   }
   for (auto& re : reactors_) {
+    inbox& mail = *re->mail;
     {
-      const std::lock_guard<std::mutex> lock(re->inbox_mutex);
-      for (const int fd : re->adopt_inbox) ::close(fd);
-      re->adopt_inbox.clear();
-      re->flush_inbox.clear();
-      re->resume_inbox.clear();
+      // Closed before its eventfd: a late wake drops its op here.
+      const std::lock_guard<std::mutex> lock(mail.mutex);
+      mail.closed = true;
+      for (const int fd : mail.adopts) ::close(fd);
+      mail.adopts.clear();
+      mail.flushes.clear();
+      mail.resumes.clear();
+      mail.wakes.clear();
+      if (mail.wake_fd >= 0) ::close(mail.wake_fd);
+      mail.wake_fd = -1;
     }
     if (re->epoll_fd >= 0) ::close(re->epoll_fd);
-    if (re->wake_fd >= 0) ::close(re->wake_fd);
     if (re->listen_fd >= 0) ::close(re->listen_fd);
-    re->epoll_fd = re->wake_fd = re->listen_fd = -1;
+    re->epoll_fd = re->listen_fd = -1;
   }
   if (http_listen_fd_ >= 0) {
     ::close(http_listen_fd_);
@@ -550,9 +557,9 @@ void server::reactor_main(reactor& r) {
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;
       const std::uint32_t mask = events[i].events;
-      if (fd == r.wake_fd) {
+      if (fd == r.mail->wake_fd) {
         std::uint64_t drained = 0;
-        (void)!::read(r.wake_fd, &drained, sizeof drained);
+        (void)!::read(fd, &drained, sizeof drained);
         r.wakeups.fetch_add(1, std::memory_order_relaxed);
         process_inbox(r);
         continue;
@@ -581,15 +588,9 @@ void server::reactor_main(reactor& r) {
     fire_timers(r);
   }
   // Teardown: finish every connection (disconnect-on-close included)
-  // while the map still owns them, and close sockets dealt to us that
-  // we never adopted.
-  {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    for (const int fd : r.adopt_inbox) ::close(fd);
-    r.adopt_inbox.clear();
-    r.flush_inbox.clear();
-    r.resume_inbox.clear();
-  }
+  // while the map still owns them. Whatever is left in the inbox
+  // (sockets dealt to us, wakes of ops whose answers teardown drops)
+  // stop() discards when it closes the inbox.
   std::vector<connection_ptr> remaining;
   remaining.reserve(r.connections.size());
   for (const auto& [fd, conn] : r.connections) remaining.push_back(conn);
@@ -603,22 +604,46 @@ void server::reactor_main(reactor& r) {
 void server::process_inbox(reactor& r) {
   std::vector<int> adopts;
   std::vector<connection_ptr> resumes;
+  std::vector<acquire_ptr> wakes;
   std::vector<connection_ptr> flushes;
   {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    adopts.swap(r.adopt_inbox);
-    resumes.swap(r.resume_inbox);
-    flushes.swap(r.flush_inbox);
-    r.wake_pending = false;
+    const std::lock_guard<std::mutex> lock(r.mail->mutex);
+    adopts.swap(r.mail->adopts);
+    resumes.swap(r.mail->resumes);
+    wakes.swap(r.mail->wakes);
+    flushes.swap(r.mail->flushes);
+    r.mail->kicked = false;
   }
   for (const int fd : adopts) adopt_connection(r, fd);
   for (const auto& conn : resumes) handle_resume(r, conn);
+  if (!wakes.empty()) {
+    // Woken acquires retry under the dispatch rule. Served before the
+    // posted flushes, so an answer to a connection already waiting for
+    // one rides that flush.
+    std::vector<pending> batch;
+    batch.reserve(wakes.size());
+    for (auto& op : wakes) {
+      batch.push_back(pending{op->conn, {}, std::move(op)});
+    }
+    serve_batch(r, batch);
+  }
   for (const auto& conn : flushes) flush_connection(r, conn);
 }
 
-void server::wake(reactor& r) {
+template <typename Add>
+void server::inbox::post(Add add) {
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (closed) return;
+  add();
+  if (!kicked) {
+    kicked = true;
+    kick();  // under the lock: stop() closes the eventfd under it too
+  }
+}
+
+void server::inbox::kick() const {
   const std::uint64_t one = 1;
-  (void)!::write(r.wake_fd, &one, sizeof one);
+  (void)!::write(wake_fd, &one, sizeof one);
 }
 
 void server::accept_ready(reactor& r) {
@@ -650,7 +675,9 @@ void server::accept_ready(reactor& r) {
       adopt_connection(r, fd);
       continue;
     }
-    post(target, [&] { target.adopt_inbox.push_back(fd); });
+    // The target's inbox closes only after every reactor, this one
+    // included, has exited: the post cannot be dropped.
+    target.mail->post([&] { target.mail->adopts.push_back(fd); });
   }
 }
 
@@ -675,13 +702,15 @@ void server::adopt_connection(reactor& r, int fd) {
 }
 
 void server::read_ready(reactor& r, const connection_ptr& conn) {
-  // Drain the socket in bounded bites, decoding and dispatching after
-  // each recv. Draining straight to EAGAIN before ever consulting the
-  // in-flight cap would let a client that pre-filled the kernel buffer
-  // blow arbitrarily far past max_inflight_per_connection; this way the
-  // overshoot is bounded by the frames of one 64 KiB read, and the rest
-  // stays in the kernel buffer (level-triggered EPOLLIN re-fires once
-  // the pause lifts).
+  // Drain the socket in bounded bites, decoding after each recv; a
+  // decoded request holds a slot of the in-flight cap until it is
+  // answered. Draining straight to EAGAIN before ever consulting the
+  // cap would let a client that pre-filled the kernel buffer blow
+  // arbitrarily far past max_inflight_per_connection, and would let one
+  // flooding connection hold its reactor; this way the overshoot is
+  // bounded by the frames of one 64 KiB read, and the rest stays in the
+  // kernel buffer (level-triggered EPOLLIN re-fires on the next pass,
+  // or once a pause lifts).
   std::uint8_t buffer[64 * 1024];
   bool dead = conn->closed.load(std::memory_order_relaxed);
   bool drained = dead;
@@ -710,7 +739,8 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
     // Decode everything this bite completed. Dead connections still
     // parse: requests already received alongside an EOF are served (the
     // client pipelined then closed; its last responses are moot, but a
-    // won lease must be reclaimed — see serve/serve_acquire).
+    // won lease must be reclaimed — finish_connection below, or
+    // serve_acquire for a win on the side pool).
     while (auto frame = conn->reader.next()) {
       counters_.frames_in.fetch_add(1, std::memory_order_relaxed);
       auto req = wire::decode_request(*frame);
@@ -758,21 +788,15 @@ void server::read_ready(reactor& r, const connection_ptr& conn) {
       }
     }
     if (drained) break;
-    // At the cap: stop reading; maybe_pause below parks the socket.
+    // At the cap: stop reading. Serving the batch frees the slots of
+    // what it answers; maybe_pause below parks the socket if it is
+    // still at the cap.
     if (budgeted(*conn) >= config_.max_inflight_per_connection) break;
   }
 
   if (!batch.empty()) {
     counters_.dispatch_batches.fetch_add(1, std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lock(queue_->mutex);
-      for (auto& p : batch) queue_->items.push_back(std::move(p));
-    }
-    if (batch.size() > 1) {
-      queue_->cv.notify_all();
-    } else {
-      queue_->cv.notify_one();
-    }
+    serve_batch(r, batch);
   }
 
   if (dead) {
@@ -819,27 +843,75 @@ void server::protocol_error(const connection_ptr& conn,
 // ---------------------------------------------------------------------
 // Request execution.
 
-void server::work_queue::push(pending p) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (closed) return;
-    items.push_back(std::move(p));
+bool server::on_pool(wire::op kind) const {
+  switch (kind) {
+    case wire::op::try_acquire:
+    case wire::op::acquire:
+    case wire::op::try_acquire_for:
+    case wire::op::release:
+    case wire::op::release_fenced:
+    case wire::op::renew:
+    case wire::op::disconnect:
+      // The commit gate may block for up to commit_wait_ms; a
+      // follower's redirect is cheap wherever it runs.
+      return config_.cluster.enabled();
+    case wire::op::admin_list:
+    case wire::op::admin_inspect:
+    case wire::op::admin_force_release:
+    case wire::op::admin_snapshot:
+    case wire::op::admin_commands:
+      return true;  // registry scans, a file write and fsync, the gate
+    default:
+      return false;
   }
-  cv.notify_one();
+}
+
+void server::serve_batch(reactor& r, std::vector<pending>& batch) {
+  std::vector<pending> pooled;
+  r.batching = true;
+  for (auto& p : batch) {
+    if (on_pool(p.acquire ? p.acquire->req.kind : p.req.kind)) {
+      pooled.push_back(std::move(p));
+    } else {
+      serve(p);
+    }
+  }
+  r.batching = false;
+  if (!pooled.empty()) push_work(pooled);
+  // Nothing below records a flush: batching is off.
+  for (const auto& conn : r.batch_flushes) flush_connection(r, conn);
+  r.batch_flushes.clear();
+}
+
+void server::push_work(std::vector<pending>& items) {
+  {
+    const std::lock_guard<std::mutex> lock(queue_.mutex);
+    if (queue_.closed) return;
+    for (auto& p : items) queue_.items.push_back(std::move(p));
+  }
+  if (items.size() > 1) {
+    queue_.cv.notify_all();
+  } else {
+    queue_.cv.notify_one();
+  }
 }
 
 void server::executor_main() {
-  work_queue& q = *queue_;
   for (;;) {
     pending p;
     {
-      std::unique_lock<std::mutex> lock(q.mutex);
-      q.cv.wait(lock, [&q] { return q.closed || !q.items.empty(); });
-      if (q.items.empty()) return;  // closed and drained
-      p = std::move(q.items.front());
-      q.items.pop_front();
+      std::unique_lock<std::mutex> lock(queue_.mutex);
+      queue_.cv.wait(lock,
+                     [this] { return queue_.closed || !queue_.items.empty(); });
+      if (queue_.items.empty()) return;  // closed and drained
+      p = std::move(queue_.items.front());
+      queue_.items.pop_front();
     }
-    serve(p);
+    if (p.reclaim) {
+      reclaim(*p.conn);
+    } else {
+      serve(p);
+    }
   }
 }
 
@@ -1050,13 +1122,14 @@ void server::serve_admin(const pending& p, wire::response& r) {
   switch (p.req.kind) {
     case wire::op::admin_list: {
       std::string body = "[";
-      for (const svc::key_inspection& k : registry.list_keys()) {
+      registry.visit_keys([&body](const svc::key_inspection& k) {
         if (body.size() > 1) body += ',';
         body += inspection_json(k);
-        // A pathological key population could outgrow a frame; truncate
-        // to whole objects rather than poisoning the client's deframer.
-        if (body.size() > wire::max_frame_bytes / 2) break;
-      }
+        // A pathological key population could outgrow a frame; stop at
+        // whole objects rather than poisoning the client's deframer, and
+        // before the registry copies keys nobody will see.
+        return body.size() <= wire::max_frame_bytes / 2;
+      });
       body += ']';
       r.body = std::move(body);
       r.result = wire::status::ok;
@@ -1158,7 +1231,7 @@ void server::serve_admin(const pending& p, wire::response& r) {
 }
 
 // ---------------------------------------------------------------------
-// Blocking acquires: an attempt per executor visit, parked in between.
+// Blocking acquires: one attempt per dispatch, parked in between.
 
 void server::serve_acquire(const acquire_ptr& op) {
   connection& conn = *op->conn;
@@ -1188,12 +1261,12 @@ void server::serve_acquire(const acquire_ptr& op) {
     }
     svc::acquire_result result = conn.session->try_acquire(req.key);
     if (result.won && conn.closed.load(std::memory_order_relaxed)) {
-      // The request rode in alongside the connection's EOF, or the
-      // client died while it ran: disconnect-on-close already ran, so
-      // nobody is behind this win — hand it straight back instead of
-      // orphaning the key. The shard mutex orders the win against
-      // finish_connection's reclaim scan, so a win the scan could not
-      // see always observes closed here.
+      // The client died while the attempt ran, or before its wake was
+      // served: disconnect-on-close already set `closed`, so nobody is
+      // behind this win — hand it straight back instead of orphaning
+      // the key. `closed` is set before the reclaim scan runs, and the
+      // shard mutex orders the win against that scan, so a win the scan
+      // could not see always observes closed here.
       (void)conn.session->reclaim(req.key, result.epoch);
       counters_.disconnect_reclaims.fetch_add(1, std::memory_order_relaxed);
       finish(op, nullptr);
@@ -1205,13 +1278,14 @@ void server::serve_acquire(const acquire_ptr& op) {
       // Teardown sets `closed` under this lock once it took the parked
       // ops back: nothing may park after it (the answer below is lost).
       if (!result.timed_out && !conn.closed.load(std::memory_order_relaxed)) {
-        // The wake only re-queues (it may run under repl::node's mutex),
-        // into a queue that outlives the server.
+        // The wake only posts the op to its reactor (it may run under
+        // repl::node's mutex), into an inbox that outlives the server;
+        // the reactor retries it under the dispatch rule.
         conn.parked.fetch_add(1, std::memory_order_acq_rel);
         op->park_id = service_.registry().park(
-            req.key, result.epoch, [queue = queue_, op] {
+            req.key, result.epoch, [mail = conn.owner.mail, op] {
               op->conn->parked.fetch_sub(1, std::memory_order_acq_rel);
-              queue->push(pending{op->conn, {}, op});
+              mail->post([&] { mail->wakes.push_back(op); });
             });
         if (op->park_id == 0) {  // the epoch moved meanwhile: retry
           conn.parked.fetch_sub(1, std::memory_order_acq_rel);
@@ -1287,26 +1361,16 @@ void server::send_response(const connection_ptr& conn,
   }
 }
 
-template <typename Add>
-void server::post(reactor& r, Add add) {
-  bool kick = false;
-  {
-    const std::lock_guard<std::mutex> lock(r.inbox_mutex);
-    add();
-    if (!r.wake_pending) {
-      r.wake_pending = true;
-      kick = true;
-    }
-  }
-  if (kick) wake(r);
-}
-
 void server::post_flush(reactor& r, const connection_ptr& conn) {
   if (current_reactor_tls == &r) {
-    flush_connection(r, conn);
+    if (r.batching) {
+      r.batch_flushes.push_back(conn);  // flushed once, at the batch's end
+    } else {
+      flush_connection(r, conn);
+    }
     return;
   }
-  post(r, [&] { r.flush_inbox.push_back(conn); });
+  r.mail->post([&] { r.mail->flushes.push_back(conn); });
 }
 
 void server::post_resume(reactor& r, const connection_ptr& conn) {
@@ -1314,7 +1378,7 @@ void server::post_resume(reactor& r, const connection_ptr& conn) {
     handle_resume(r, conn);
     return;
   }
-  post(r, [&] { r.resume_inbox.push_back(conn); });
+  r.mail->post([&] { r.mail->resumes.push_back(conn); });
 }
 
 void server::arm_deadline(reactor& r, const acquire_ptr& op) {
@@ -1438,7 +1502,7 @@ void server::fire_timers(reactor& r) {
     r.timers.erase(r.timers.begin());
     if (due.fd < 0) {
       // A try_acquire_for's deadline: answer it timed_out if it is still
-      // parked; otherwise the executor holding it (or about to, once its
+      // parked; otherwise the attempt holding it (or about to, once its
       // wake lands) checks the deadline before parking again.
       const acquire_ptr op = due.op.lock();
       if (op == nullptr) continue;
@@ -1571,7 +1635,7 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
     // so nothing parks or watches after.
     const std::lock_guard<std::mutex> lock(conn->park_mutex);
     for (const auto& [id, op] : conn->parked_ops) {
-      // Failed: its wake re-queued it, and the executor finds `closed`.
+      // Failed: its wake posted it back, and the retry finds `closed`.
       if (!service_.registry().unpark(id)) continue;
       op->park_id = 0;
       conn->parked.fetch_sub(1, std::memory_order_acq_rel);
@@ -1644,16 +1708,29 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
   if (conn->session.has_value()) {
     // The disconnect-on-close hook: whatever the remote client held is
     // reclaimed NOW — its rivals re-elect immediately instead of
-    // waiting out the lease TTL. In-flight wins for this connection are
-    // reclaimed by their executors (see serve/serve_acquire). Each reclaimed
-    // key's disconnect_reclaimed command carries its real epoch, so the
-    // event journal names every key with no pre-scan of held keys.
-    const std::size_t reclaimed = conn->session->reclaim_all();
-    counters_.disconnect_reclaims.fetch_add(reclaimed,
-                                            std::memory_order_relaxed);
+    // waiting out the lease TTL. It is the implicit disconnect, so it
+    // runs where a disconnect op would: on a cluster member the commit
+    // gate may hold it, and it must not hold the reactor. A win that
+    // lands after the scan is handed back by serve_acquire.
+    if (on_pool(wire::op::disconnect)) {
+      std::vector<pending> job;
+      job.push_back(pending{conn, {}, nullptr, /*reclaim=*/true});
+      push_work(job);
+    } else {
+      reclaim(*conn);
+    }
   }
   r.active.fetch_sub(1, std::memory_order_relaxed);
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void server::reclaim(connection& conn) {
+  // Each reclaimed key's disconnect_reclaimed command carries its real
+  // epoch, so the event journal names every key with no pre-scan of
+  // held keys.
+  const std::size_t reclaimed = conn.session->reclaim_all();
+  counters_.disconnect_reclaims.fetch_add(reclaimed,
+                                          std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------

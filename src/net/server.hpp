@@ -12,27 +12,34 @@
 // listener and deals accepted sockets round-robin to its peers through
 // their adopt queues.
 //
-// Reads: a readable socket is drained to EAGAIN in bounded bites and
-// *all* complete frames are decoded before anything is dispatched
-// (request batching: one syscall burst, one queue lock, many
-// requests) to a small executor pool. Every op takes that one path.
-// The blocking ops (acquire, try_acquire_for) never block an executor
+// Reads: a readable socket is drained in bounded bites and *all*
+// complete frames are decoded before any is served (request batching:
+// one syscall burst, many requests). Each request is then served on
+// the reactor that read it, unless it may wait on another thread: one
+// rule (on_pool) sends those to a small side pool of executors. They
+// are the ops the commit gate can hold on a cluster member (the acquire
+// family, release, renew, disconnect, and a closed connection's
+// reclaim) and the admin ops, which scan the registry or write a file.
+// Everything else — every client op of a standalone server, the peer
+// ops, watches, metrics — runs inline: a registry CAS needs no thread
+// hop. The blocking ops (acquire, try_acquire_for) never block a thread
 // on a held key: an attempt that loses parks the request on the key's
-// epoch in the registry (registry::park) and frees the executor; the
-// epoch's next move re-queues it for another attempt. A parked request
-// costs a waiter entry, no thread. try_acquire_for deadlines fire from
-// the owning reactor's timer wheel; connection close and stop() take
-// parked requests back out of the registry.
+// epoch in the registry (registry::park); the epoch's next move posts
+// it back to its connection's reactor, which retries it under the same
+// rule. A parked request costs a waiter entry, no thread.
+// try_acquire_for deadlines fire from the owning reactor's timer
+// wheel; connection close and stop() take parked requests back out of
+// the registry.
 //
-// Writes: responses are never written by the thread that produced
-// them. Every encoded frame lands in the connection's output ring (a
-// deque of encoded frames) and the owning reactor flushes
-// the ring with writev — one syscall coalesces every frame that is
-// ready, EAGAIN arms EPOLLOUT, and a consumer that makes no progress
-// for event_write_budget_ms is declared dead by the reactor's timer
-// wheel. Cross-thread completions reach the reactor through its inbox
-// plus an eventfd kick, so all epoll_ctl and all socket writes happen
-// on the owning reactor thread.
+// Writes: every encoded frame lands in the connection's output ring (a
+// deque of encoded frames) and the owning reactor flushes the ring
+// with writev — one syscall coalesces every frame that is ready, EAGAIN
+// arms EPOLLOUT, and a consumer that makes no progress for
+// event_write_budget_ms is declared dead by the reactor's timer wheel.
+// A batch served inline (a read pass, an inbox drain) flushes each
+// connection it answered once, at its end. Completions on other threads
+// reach the reactor through its inbox plus an eventfd kick, so all
+// epoll_ctl and all socket writes happen on the owning reactor thread.
 //
 // Watches: each wire watch is one svc::watch_hub subscription, held by
 // its connection. The hub's notifier runs its callback, which encodes
@@ -48,13 +55,16 @@
 // TTL + sweeper, same as a wedged local client.
 //
 // Backpressure is per connection: at `max_inflight_per_connection`
-// outstanding requests the reactor stops *reading* that socket (drops
-// EPOLLIN) until completions drain below half the cap. Parked acquires
-// do not count (up to `max_watches_per_connection` of them), so a
-// release can always be read past acquires parked behind it on the
-// same connection. The output ring is bounded too (`max_outbox_bytes`):
-// a consumer that never drains loses the connection rather than
-// growing the ring without bound.
+// outstanding requests (decoded and not yet answered) a read pass ends,
+// so one flooding connection cannot starve the others on its reactor;
+// while that many are still outstanding after the pass the reactor
+// stops *reading* the socket (drops EPOLLIN) until completions drain
+// below half the cap. Parked acquires do not count (up to
+// `max_watches_per_connection` of them), so a release can always be
+// read past acquires parked behind it on the same connection. The
+// output ring is bounded too (`max_outbox_bytes`): a consumer that
+// never drains loses the connection rather than growing the ring
+// without bound.
 #pragma once
 
 #include <atomic>
@@ -106,7 +116,10 @@ struct server_config {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with server::port().
   std::uint16_t port = 0;
-  /// Threads serving requests.
+  /// Side-pool threads, for the requests that may wait on another
+  /// thread: on a cluster member every op the commit gate can hold (and
+  /// a closed connection's reclaim), on any server the admin ops but
+  /// admin_cluster_status. Every other request runs on its reactor.
   int executors = 4;
   /// Outstanding requests per connection before the server stops
   /// reading that socket. Parked acquires are not counted.
@@ -212,7 +225,7 @@ struct net_report {
 
 class server {
  public:
-  /// Binds, listens, and starts the reactors + executors. The service
+  /// Binds, listens, and starts the reactors + side pool. The service
   /// must outlive the server. Check listening() — construction does not
   /// abort on bind failure (the port may be taken).
   server(svc::service& service, server_config config);
@@ -293,8 +306,9 @@ class server {
     bool stall_armed = false;     // timer-wheel entry live
     std::chrono::steady_clock::time_point stall_since{};
 
-    /// Outstanding dispatched requests, and how many of them are parked
-    /// acquires; the difference drives backpressure (see budgeted()).
+    /// Outstanding requests (decoded, not yet answered), and how many of
+    /// them are parked acquires; the difference drives backpressure (see
+    /// budgeted()).
     std::atomic<int> in_flight{0};
     std::atomic<int> parked{0};
     /// Parked acquires by registry waiter id, so teardown can take them
@@ -320,18 +334,19 @@ class server {
   using connection_ptr = std::shared_ptr<connection>;
 
   /// An acquire-family request (try_acquire, acquire, try_acquire_for)
-  /// from its first dispatch to its response. Each attempt runs on an
-  /// executor; between attempts a blocking op is parked in the registry
-  /// on the epoch it lost, and the epoch's next move re-queues it.
+  /// from its first dispatch to its response. Each attempt runs under
+  /// the dispatch rule; between attempts a blocking op is parked in the
+  /// registry on the epoch it lost, and the epoch's next move posts it
+  /// back to its connection's reactor.
   struct acquire_op {
     connection_ptr conn;
     wire::request req;
     /// try_acquire_for's deadline; time_point::max() for acquire.
     std::chrono::steady_clock::time_point deadline;
-    /// Traced requests: the serve span's start (first executor pickup).
+    /// Traced requests: the serve span's start (first attempt).
     std::uint64_t serve_start_ns = 0;
     // Guarded by conn->park_mutex.
-    /// Registry waiter id while parked; 0 once an executor holds it.
+    /// Registry waiter id while parked; 0 once an attempt holds it.
     std::uint64_t park_id = 0;
     /// The epoch the last attempt lost (a timed_out answer's epoch).
     std::uint64_t lost_epoch = 0;
@@ -347,17 +362,41 @@ class server {
     std::weak_ptr<acquire_op> op;
   };
 
+  /// A reactor's cross-thread inbox, drained on eventfd wakeup. Shared
+  /// with parked acquires' wake callbacks: a wake handed out just before
+  /// teardown took its op back can run after stop(), and finds the inbox
+  /// closed instead of a dead server. stop() closes it (under `mutex`,
+  /// where every post writes the eventfd) before closing the eventfd.
+  struct inbox {
+    std::mutex mutex;
+    std::vector<connection_ptr> flushes;
+    std::vector<connection_ptr> resumes;
+    /// Parked acquires whose epoch moved: their next attempt.
+    std::vector<acquire_ptr> wakes;
+    std::vector<int> adopts;
+    /// One kick per drain, however many posts.
+    bool kicked = false;
+    bool closed = false;
+    int wake_fd = -1;
+
+    /// Run `add` (appending to one of the vectors) unless closed, and
+    /// kick the eventfd if no kick is pending.
+    template <typename Add>
+    void post(Add add);
+    /// Write the eventfd.
+    void kick() const;
+  };
+
   /// One per-core event loop: epoll + eventfd + (maybe) its own
   /// listener + timer wheel + private connection table + inbox for
   /// cross-thread work. Everything epoll_ctl happens on this thread.
   struct reactor {
-    server* owner = nullptr;
     int index = 0;
     int epoll_fd = -1;
-    int wake_fd = -1;
     /// This reactor's SO_REUSEPORT listener; -1 on every reactor but 0
     /// in the single-listener fallback.
     int listen_fd = -1;
+    std::shared_ptr<inbox> mail = std::make_shared<inbox>();
     std::thread thread;
 
     /// Reactor-thread-only.
@@ -366,14 +405,10 @@ class server {
     /// this reactor's try_acquire_for requests.
     std::multimap<std::chrono::steady_clock::time_point, timer> timers;
     std::size_t timers_sweep_at = 64;
-
-    /// Cross-thread inbox, drained on eventfd wakeup. wake_pending
-    /// coalesces eventfd writes: one kick per drain, however many posts.
-    std::mutex inbox_mutex;
-    std::vector<connection_ptr> flush_inbox;
-    std::vector<connection_ptr> resume_inbox;
-    std::vector<int> adopt_inbox;
-    bool wake_pending = false;
+    /// While a batch is served inline, post_flush only records the
+    /// connection here; the batch flushes each one once at its end.
+    bool batching = false;
+    std::vector<connection_ptr> batch_flushes;
 
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> active{0};
@@ -390,19 +425,17 @@ class server {
     /// Set for the acquire family, whose request lives in the op (req
     /// is then empty).
     acquire_ptr acquire;
+    /// A closed connection's implicit disconnect: reclaim what its
+    /// session held (req and acquire unused).
+    bool reclaim = false;
   };
 
-  /// The executors' queue. Shared with parked acquires' wake callbacks:
-  /// a wake handed out just before teardown took its op back can run
-  /// after stop(), and finds the queue closed instead of a dead server.
+  /// The side pool's queue.
   struct work_queue {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<pending> items;
     bool closed = false;
-
-    /// Append one item (dropped once closed) and wake an executor.
-    void push(pending p);
   };
 
   void reactor_main(reactor& r);
@@ -412,9 +445,19 @@ class server {
   void accept_ready(reactor& r);
   /// Register a freshly accepted socket with reactor r (its thread).
   void adopt_connection(reactor& r, int fd);
-  /// Drain one readable socket and dispatch everything parsed.
+  /// Drain one readable socket and serve everything parsed.
   void read_ready(reactor& r, const connection_ptr& conn);
-  /// Drain r's inbox: adopts, resumes, flushes.
+  /// The dispatch rule: true when `kind` may wait on another thread
+  /// (the commit gate on a cluster member; an admin scan or file write)
+  /// and so runs on the side pool, false when it runs on its reactor.
+  /// Selected on cluster mode, not on the role, which can change
+  /// between decode and serve.
+  [[nodiscard]] bool on_pool(wire::op kind) const;
+  /// Serve a batch on reactor r under the dispatch rule: queue the pool
+  /// part, serve the rest inline, then flush each connection the batch
+  /// answered once.
+  void serve_batch(reactor& r, std::vector<pending>& batch);
+  /// Drain r's inbox: adopts, resumes, woken acquires (a batch), flushes.
   void process_inbox(reactor& r);
   /// writev the connection's output ring until drained or EAGAIN
   /// (reactor thread only).
@@ -445,17 +488,15 @@ class server {
   void handle_resume(reactor& r, const connection_ptr& conn);
   /// Put a try_acquire_for's deadline on r's wheel (reactor thread).
   static void arm_deadline(reactor& r, const acquire_ptr& op);
-  /// Kick r's eventfd (coalesced by wake_pending).
-  void wake(reactor& r);
-  /// Queue cross-thread work for r: `add` appends to one of its inbox
-  /// vectors under the inbox lock; one eventfd kick per drain.
-  template <typename Add>
-  void post(reactor& r, Add add);
-  /// Serve one request (executor thread).
+  /// Append to the side pool's queue (dropped once closed).
+  void push_work(std::vector<pending>& items);
+  /// Serve one request (its reactor or the side pool).
   void serve(const pending& p);
-  /// One attempt of an acquire-family op (executor thread): answer it,
-  /// or park it on the epoch it lost.
+  /// One attempt of an acquire-family op: answer it, or park it on the
+  /// epoch it lost.
   void serve_acquire(const acquire_ptr& op);
+  /// Reclaim everything a closed connection's session held.
+  void reclaim(connection& conn);
   /// The op's final answer (`r` null: nobody to answer — the connection
   /// closed): traced spans, the frame, the in-flight slot.
   void finish(const acquire_ptr& op, const wire::response* r);
@@ -467,10 +508,10 @@ class server {
   /// One wire watch's hub callback (notifier thread): encode the event
   /// into the connection's ring and post the flush.
   void push_event(const connection_ptr& conn, const svc::watch_event& e);
-  /// Register / cancel wire watches (executor thread).
+  /// Register / cancel wire watches.
   void serve_watch(const pending& p, wire::response& r);
   void serve_unwatch(const pending& p, wire::response& r);
-  /// The admin ops (executor thread); gated by config.enable_admin.
+  /// The admin ops (side pool); gated by config.enable_admin.
   void serve_admin(const pending& p, wire::response& r);
   // HTTP side-channel (reactor 0 only): accept, buffer one request,
   // answer, close.
@@ -492,8 +533,9 @@ class server {
   /// Reactor-thread-only: take parked acquires and watches back
   /// (parked ones answered `rejected` on stop), final opportunistic
   /// flush (a bad_request refusal must still reach the peer),
-  /// unregister, cancel the watches' hub subscriptions, disconnect the
-  /// session (the lease-reclaim hook), drop from the map.
+  /// unregister, cancel the watches' hub subscriptions, reclaim the
+  /// session's leases under the dispatch rule (the disconnect-on-close
+  /// hook), drop from the map.
   void finish_connection(reactor& r, const connection_ptr& conn);
   void handle_handshake(const connection_ptr& conn,
                         const wire::request& req);
@@ -517,12 +559,11 @@ class server {
   /// begins immediately.
   std::size_t next_adopter_ = 1;
 
+  work_queue queue_;
   std::vector<std::thread> executors_;
   std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> next_connection_id_{1};
-
-  std::shared_ptr<work_queue> queue_ = std::make_shared<work_queue>();
 
   struct counters {
     std::atomic<std::uint64_t> connections_accepted{0};

@@ -11,7 +11,9 @@
 //     included, so a candidate asks every peer at once and a member that
 //     accepts connections but never answers stalls only its own channel,
 //     for one peer_io_timeout_ms, never the election;
-//   * handle_peer() serves peer ops on the net::server's executors;
+//   * handle_peer() serves peer ops on the net::server reactor that
+//     read them: it holds the node mutex briefly (a granted vote also
+//     writes the vote file) and never waits on another member;
 //   * wait_committed() is the commit gate the service calls before it
 //     acks a mutation: it drains through the core, then blocks on a
 //     condition variable until the mutated shard's watermark commits;
@@ -76,7 +78,8 @@ class node {
   [[nodiscard]] std::string primary_endpoint() const;
 
   /// Serve one peer op (peer_vote / peer_append / peer_snapshot).
-  /// Called from the net::server's executors; any malformed body gets
+  /// Called on the net::server reactor that read the request, so it
+  /// must never wait on an outside event; any malformed body gets
   /// `bad_request`.
   [[nodiscard]] net::wire::response handle_peer(const net::wire::request& r);
 

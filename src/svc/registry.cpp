@@ -504,23 +504,36 @@ std::string_view grant_mode_name(int raw) {
 
 }  // namespace
 
+key_inspection instance_registry::inspection_locked(
+    const std::string& key, const key_state& state) const {
+  key_inspection info;
+  info.key = key;
+  info.entry = state.entry;
+  info.leader = state.leader;
+  info.lease_deadline = steady_deadline(state.logical_deadline_ms);
+  info.mode = grant_mode_name(static_cast<int>(state.mode));
+  info.attempts_this_epoch = state.attempts_this_epoch;
+  info.last_epoch_attempts = state.last_epoch_attempts;
+  return info;
+}
+
 std::vector<key_inspection> instance_registry::list_keys() const {
   std::vector<key_inspection> out;
+  visit_keys([&out](const key_inspection& info) {
+    out.push_back(info);
+    return true;
+  });
+  return out;
+}
+
+void instance_registry::visit_keys(
+    const std::function<bool(const key_inspection&)>& visit) const {
   for (const auto& shard_ptr : shards_) {
     const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
     for (const auto& [key, state] : shard_ptr->keys) {
-      key_inspection info;
-      info.key = key;
-      info.entry = state.entry;
-      info.leader = state.leader;
-      info.lease_deadline = steady_deadline(state.logical_deadline_ms);
-      info.mode = grant_mode_name(static_cast<int>(state.mode));
-      info.attempts_this_epoch = state.attempts_this_epoch;
-      info.last_epoch_attempts = state.last_epoch_attempts;
-      out.push_back(std::move(info));
+      if (!visit(inspection_locked(key, state))) return;
     }
   }
-  return out;
 }
 
 std::optional<key_inspection> instance_registry::inspect(
@@ -530,15 +543,7 @@ std::optional<key_inspection> instance_registry::inspect(
   const std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.keys.find(key);
   if (it == s.keys.end()) return std::nullopt;
-  key_inspection info;
-  info.key = key;
-  info.entry = it->second.entry;
-  info.leader = it->second.leader;
-  info.lease_deadline = steady_deadline(it->second.logical_deadline_ms);
-  info.mode = grant_mode_name(static_cast<int>(it->second.mode));
-  info.attempts_this_epoch = it->second.attempts_this_epoch;
-  info.last_epoch_attempts = it->second.last_epoch_attempts;
-  return info;
+  return inspection_locked(key, it->second);
 }
 
 lease_status instance_registry::force_release(const std::string& key) {

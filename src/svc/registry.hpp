@@ -345,6 +345,13 @@ class instance_registry {
   /// cross-shard atomic view). Not a hot path.
   [[nodiscard]] std::vector<key_inspection> list_keys() const;
 
+  /// Admin: list_keys() one key at a time, in the same order, until
+  /// `visit` returns false — nothing past that key is copied. `visit`
+  /// runs under the key's shard lock, so it must be brief and must not
+  /// call back into the registry.
+  void visit_keys(
+      const std::function<bool(const key_inspection&)>& visit) const;
+
   /// Admin: snapshot one key; empty when the key was never acquired.
   [[nodiscard]] std::optional<key_inspection> inspect(
       const std::string& key) const;
@@ -616,6 +623,9 @@ class instance_registry {
   /// The steady-clock time of a logical deadline (max() for forever).
   [[nodiscard]] clock::time_point steady_deadline(
       std::uint64_t logical_deadline_ms) const;
+  /// One key's admin snapshot (caller holds its shard lock).
+  [[nodiscard]] key_inspection inspection_locked(
+      const std::string& key, const key_state& state) const;
   /// Bump `key` to a fresh (instance, epoch) with no holder. Caller holds
   /// the shard lock and must wake the key's waiters after unlocking.
   void bump_epoch_locked(key_state& state);

@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -162,6 +163,17 @@ TEST(NetWire, OversizedFramePoisonsTheReader) {
 
 // ---------------------------------------------------------------------
 // End-to-end over loopback.
+
+/// Poll `done` every few ms for up to `limit`; true once it holds.
+bool eventually(const std::function<bool()>& done,
+                std::chrono::milliseconds limit = 10s) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(2ms);
+  }
+  return true;
+}
 
 struct remote_stack {
   explicit remote_stack(svc::service_config service_config = {.nodes = 4,
@@ -448,8 +460,11 @@ TEST(NetRemote, KilledClientSocketMidLeaseIsReclaimed) {
   EXPECT_EQ(stack.service.registry().leader_of("remote/crashy"),
             static_cast<int>(heir->session_id()));
 
-  // The reclaim is attributed to the network edge.
-  EXPECT_GE(stack.server.report().disconnect_reclaims, 1u);
+  // The reclaim is attributed to the network edge. Teardown counts it
+  // once reclaim_all returns, and the reclaim's wake may have granted
+  // the key to the heir on its own reactor before that.
+  EXPECT_TRUE(eventually(
+      [&] { return stack.server.report().disconnect_reclaims >= 1u; }, 5s));
   EXPECT_EQ(heir->release("remote/crashy", heir_result.epoch),
             svc::lease_status::ok);
 }
@@ -510,6 +525,50 @@ std::vector<std::pair<int, std::uint64_t>> paged_positions(
                      seq);
   }
   return out;
+}
+
+// admin_list stops at half a frame: with more keys than that holds, the
+// body is a JSON array of whole objects, just past half the frame cap,
+// in list_keys() order.
+TEST(NetAdmin, ListIsAPrefixOfWholeObjectsUnderTheFrameCap) {
+  net::server_config server_config;
+  server_config.enable_admin = true;
+  remote_stack stack({.nodes = 2, .shards = 4}, std::move(server_config));
+  auto session = stack.service.connect();
+  // ~330-byte objects: 4,000 keys are well past half a frame.
+  const std::string pad(200, 'k');
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(session.try_acquire(pad + std::to_string(i)).won);
+  }
+  const auto client = stack.connect();
+  const auto r = client->admin(net::wire::op::admin_list);
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->result, net::wire::status::ok);
+  const std::string& body = r->body;
+  EXPECT_GT(body.size(), net::wire::max_frame_bytes / 2);
+  EXPECT_LT(body.size(), net::wire::max_frame_bytes / 2 + 1024);
+  ASSERT_GE(body.size(), 2u);
+  EXPECT_EQ(body.front(), '[');
+  EXPECT_EQ(body.substr(body.size() - 2), "}]");
+
+  // Whole objects, each opening right after '[' or ',' and naming its
+  // key first, in the order list_keys() reports them.
+  const std::string open = "{\"key\":\"";
+  std::vector<std::string> listed;
+  for (std::size_t at = body.find(open); at != std::string::npos;
+       at = body.find(open, at + 1)) {
+    EXPECT_TRUE(body[at - 1] == '[' || body[at - 1] == ',') << at;
+    const std::size_t start = at + open.size();
+    listed.push_back(body.substr(start, body.find('"', start) - start));
+  }
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(body.begin(), body.end(), '}')),
+            listed.size());
+  const auto all = stack.service.registry().list_keys();
+  ASSERT_LT(listed.size(), all.size());
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    ASSERT_EQ(listed[i], all[i].key) << i;
+  }
 }
 
 // admin_commands pages resume from a log position, not from an offset
@@ -616,17 +675,6 @@ int thread_count() {
     ::closedir(dir);
   }
   return n;
-}
-
-/// Poll `done` every few ms for up to `limit`; true once it holds.
-bool eventually(const std::function<bool()>& done,
-                std::chrono::milliseconds limit = 10s) {
-  const auto deadline = std::chrono::steady_clock::now() + limit;
-  while (!done()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(2ms);
-  }
-  return true;
 }
 
 /// A bare wire connection driven from the test thread — no client
@@ -879,6 +927,44 @@ TEST(NetParked, StopAnswersParkedAcquiresRejected) {
   // An epoch move after stop() finds nothing of the server to wake.
   EXPECT_EQ(holder.release("parked/stop", held.epoch), svc::lease_status::ok);
   EXPECT_EQ(stack.service.registry().parked_count(), 0u);
+}
+
+// A parked acquire's wake can be handed out just before teardown takes
+// its op back, and run while or after the server stops and is
+// destroyed: it must find its reactor's inbox closed, never a closed
+// eventfd or a freed server (the sanitizer jobs watch this one).
+TEST(NetParked, WakesRacingStopTouchNothingOfTheServer) {
+  constexpr int rounds = 30;
+  constexpr std::size_t parked = 16;
+  svc::service service({.nodes = 2, .shards = 2});
+  auto& registry = service.registry();
+  auto holder = service.connect();
+  for (int round = 0; round < rounds; ++round) {
+    const std::string key = "parked/race/" + std::to_string(round);
+    const auto held = holder.try_acquire(key);
+    ASSERT_TRUE(held.won);
+    auto server = std::make_unique<net::server>(service, net::server_config{});
+    ASSERT_TRUE(server->listening());
+    net::client client("127.0.0.1", server->port());
+    ASSERT_TRUE(client.connected());
+    for (std::size_t i = 0; i < parked; ++i) {
+      ASSERT_NE(client.submit(net::wire::op::acquire, key), 0u);
+    }
+    ASSERT_TRUE(eventually([&] { return registry.parked_count() == parked; }));
+
+    std::thread releaser([&] {
+      EXPECT_EQ(holder.release(key, held.epoch), svc::lease_status::ok);
+    });
+    std::thread stopper([&] { server.reset(); });
+    releaser.join();
+    stopper.join();
+    // Whichever way it fell, nothing of the server stays parked, and a
+    // grant a retry won went back with its closed connection.
+    EXPECT_TRUE(eventually([&] {
+      return registry.parked_count() == 0 && registry.leader_of(key) == -1;
+    })) << "round " << round << ": leader " << registry.leader_of(key)
+        << ", parked " << registry.parked_count();
+  }
 }
 
 TEST(NetRemote, RenewRefreshesTheReportedDeadline) {
@@ -1323,7 +1409,9 @@ TEST(NetReactors, KilledSocketOffReactorZeroIsReclaimed) {
   const auto heir_result = heir->try_acquire_for(
       "offzero/crashy", std::chrono::milliseconds(ttl_ms + 10 * sweep_ms));
   ASSERT_TRUE(heir_result.won);
-  EXPECT_GE(stack.server.report().disconnect_reclaims, 1u);
+  // Counted once reclaim_all returns, possibly after the heir's grant.
+  EXPECT_TRUE(eventually(
+      [&] { return stack.server.report().disconnect_reclaims >= 1u; }, 5s));
   EXPECT_EQ(heir->release("offzero/crashy", heir_result.epoch),
             svc::lease_status::ok);
 }
@@ -1331,38 +1419,74 @@ TEST(NetReactors, KilledSocketOffReactorZeroIsReclaimed) {
 TEST(NetReactors, BackpressureCapHoldsPerConnectionUnderFourReactors) {
   // Four flooding connections on four reactors: each must be paused
   // against ITS cap independently, and every request still answered.
+  // A request served on its reactor frees its slot within the read pass
+  // that decoded it, so the flood is of acquires parked on held keys:
+  // with no watch allowance, each parked one holds its slot until the
+  // release that wakes it.
   net::server_config server_config = reactor_config(4);
   server_config.max_inflight_per_connection = 4;
+  server_config.max_watches_per_connection = 0;
   remote_stack stack({.nodes = 4, .shards = 4}, server_config);
 
   constexpr int clients = 4;
   constexpr int burst = 64;
+  auto holder = stack.service.connect();
+  std::vector<std::pair<std::string, std::uint64_t>> held;
+  for (int c = 0; c < clients; ++c) {
+    for (int i = 0; i < burst; ++i) {
+      std::string key = "bp/" + std::to_string(c) + "/" + std::to_string(i);
+      const auto got = holder.try_acquire(key);
+      ASSERT_TRUE(got.won);
+      held.emplace_back(std::move(key), got.epoch);
+    }
+  }
   std::vector<std::unique_ptr<net::client>> handles;
-  for (int i = 0; i < clients; ++i) {
+  std::vector<std::vector<std::uint64_t>> ids(clients);
+  for (int c = 0; c < clients; ++c) {
     handles.push_back(stack.connect());
     ASSERT_TRUE(handles.back()->connected());
+    for (int i = 0; i < burst; ++i) {
+      ids[static_cast<std::size_t>(c)].push_back(handles.back()->submit(
+          net::wire::op::acquire,
+          "bp/" + std::to_string(c) + "/" + std::to_string(i)));
+    }
   }
-  std::atomic<int> wins{0};
-  std::vector<std::thread> flooders;
+  // Every connection reaches its cap with acquires parked, and pauses.
+  ASSERT_TRUE(eventually([&] {
+    return stack.server.report().backpressure_pauses >=
+           static_cast<std::uint64_t>(clients);
+  })) << "pauses: " << stack.server.report().backpressure_pauses;
+  for (const auto& [key, epoch] : held) {
+    ASSERT_EQ(holder.release(key, epoch), svc::lease_status::ok);
+  }
+  int wins = 0;
   for (int c = 0; c < clients; ++c) {
-    flooders.emplace_back([&, c] {
-      auto& client = *handles[static_cast<std::size_t>(c)];
-      std::vector<std::uint64_t> ids;
-      ids.reserve(burst);
-      for (int i = 0; i < burst; ++i) {
-        ids.push_back(client.submit(
-            net::wire::op::try_acquire,
-            "bp/" + std::to_string(c) + "/" + std::to_string(i)));
-      }
-      for (const std::uint64_t id : ids) {
-        const auto r = client.take(id);
-        if (r.has_value() && r->won()) wins.fetch_add(1);
-      }
-    });
+    for (const std::uint64_t id : ids[static_cast<std::size_t>(c)]) {
+      const auto r = handles[static_cast<std::size_t>(c)]->take(id);
+      if (r.has_value() && r->won()) ++wins;
+    }
   }
-  for (auto& t : flooders) t.join();
-  EXPECT_EQ(wins.load(), clients * burst);  // disjoint keys: all won
+  EXPECT_EQ(wins, clients * burst);  // disjoint keys: all won
   EXPECT_GE(stack.server.report().backpressure_pauses, 1u);
+}
+
+// A standalone server answers a try_acquire or a release on the reactor
+// that read it and flushes the answer from there: no cross-thread post,
+// so no eventfd wake-up, and at most one writev per response.
+TEST(NetReactors, InlineRequestsWakeNoReactor) {
+  constexpr std::uint64_t rounds = 500;
+  remote_stack stack;
+  const auto client = stack.connect();
+  ASSERT_TRUE(client->connected());
+  const net::net_report before = stack.server.report();
+  for (std::uint64_t i = 0; i < rounds; ++i) {
+    const auto won = client->try_acquire("inline/key");
+    ASSERT_TRUE(won.won);
+    ASSERT_EQ(client->release("inline/key", won.epoch), svc::lease_status::ok);
+  }
+  const net::net_report after = stack.server.report();
+  EXPECT_EQ(after.reactor_wakeups, before.reactor_wakeups);
+  EXPECT_LE(after.writev_calls - before.writev_calls, 2 * rounds);
 }
 
 TEST(NetReactors, WatchFanoutAcrossReactorsDeliversExactlyOnce) {

@@ -198,7 +198,7 @@ TEST(TracePropagation, RemoteBackendCarriesTheIdAcrossTheWire) {
 }
 
 // A traced remote acquire that parks is ONE serve span, from its first
-// executor pickup to the response across every park and retry, with an
+// attempt to the response across every park and retry, with an
 // epoch_wait span inside it for the time it sat parked.
 TEST(TracePropagation, ParkedRemoteAcquireIsOneServeSpanWithAnEpochWait) {
   svc::service service(svc::service_config{.nodes = 2, .shards = 1});

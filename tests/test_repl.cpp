@@ -823,6 +823,7 @@ struct cluster_harness {
     net::server_config nc;
     nc.bind_address = "127.0.0.1";
     nc.port = ports[idx];
+    nc.reactors = reactors;
     repl::node* node = nodes[idx].get();
     nc.cluster.is_primary = [node] { return node->is_primary(); };
     nc.cluster.primary_hint = [node] { return node->primary_endpoint(); };
@@ -896,6 +897,8 @@ struct cluster_harness {
   std::uint64_t ttl = 0;
   /// Members journal their events (set before start_all).
   bool journal = false;
+  /// Each member server's reactor count (0: the server's default).
+  int reactors = 0;
   std::set<int> stopped;
   std::vector<std::unique_ptr<svc::service>> services;
   std::vector<std::unique_ptr<repl::node>> nodes;
@@ -1076,6 +1079,41 @@ TEST(ReplCluster, UnconfirmedGrantIsRevokedNotLeftHeld) {
   EXPECT_TRUE(result.rejected);
   EXPECT_TRUE(result.connection_lost);
   EXPECT_EQ(service.registry().leader_of("locks/unconfirmed"), -1);
+}
+
+// A closed connection's reclaim is its implicit disconnect, and on a
+// primary that lost its quorum the commit gate holds it for up to
+// commit_wait_ms. It waits on the side pool, not on the reactor: a
+// bystander sharing the (only) reactor is still answered at once.
+TEST(ReplCluster, GatedDisconnectReclaimDoesNotStallTheReactor) {
+  cluster_harness cluster(3);
+  cluster.reactors = 1;
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  const auto idx = static_cast<std::size_t>(p);
+  net::client holder("127.0.0.1", cluster.ports[idx]);
+  net::client bystander("127.0.0.1", cluster.ports[idx]);
+  ASSERT_TRUE(holder.connected());
+  ASSERT_TRUE(bystander.connected());
+  ASSERT_TRUE(holder.try_acquire("locks/reclaimed").won);
+  ASSERT_FALSE(bystander.metrics_json().empty());
+
+  for (int i = 0; i < 3; ++i) {
+    if (i != p) cluster.stop_member(i);
+  }
+  holder.close();
+  // The reclaim applies locally, then waits on the gate.
+  svc::instance_registry& registry = cluster.services[idx]->registry();
+  const auto reclaimed_by = std::chrono::steady_clock::now() + 10s;
+  while (registry.leader_of("locks/reclaimed") != -1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), reclaimed_by);
+    std::this_thread::sleep_for(2ms);
+  }
+  const auto before = std::chrono::steady_clock::now();
+  EXPECT_FALSE(bystander.metrics_json().empty());
+  EXPECT_LT(std::chrono::steady_clock::now() - before, 1s)
+      << "the reactor waited on the reclaim's commit gate";
 }
 
 // A primary that steps down with an acquire parked on it answers that

@@ -399,6 +399,39 @@ TEST(SvcRegistry, ParkRefusesAMovedEpochAndUnparkTakesTheWaiterBack) {
   EXPECT_EQ(registry.parked_count(), 0u);
 }
 
+// visit_keys walks the keys in list_keys() order and copies nothing past
+// the key its visitor stops at: the admin listing's bound on how long it
+// holds each shard lock.
+TEST(SvcRegistry, VisitKeysStopsWhereTheVisitorSays) {
+  svc::service service(svc::service_config{.nodes = 2, .shards = 4});
+  auto session = service.connect();
+  auto& registry = service.registry();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(session.try_acquire("visit/" + std::to_string(i)).won);
+  }
+  const auto all = registry.list_keys();
+  ASSERT_EQ(all.size(), 200u);
+
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{10},
+                                  std::size_t{199}}) {
+    std::vector<std::string> seen;
+    registry.visit_keys([&](const svc::key_inspection& k) {
+      seen.push_back(k.key);
+      return seen.size() < limit;
+    });
+    ASSERT_EQ(seen.size(), limit);
+    for (std::size_t i = 0; i < limit; ++i) EXPECT_EQ(seen[i], all[i].key);
+  }
+  std::size_t visited = 0;
+  registry.visit_keys([&](const svc::key_inspection& k) {
+    EXPECT_EQ(k.key, all[visited].key);
+    EXPECT_EQ(k.leader, session.id());
+    ++visited;
+    return true;
+  });
+  EXPECT_EQ(visited, all.size());
+}
+
 // ---------------------------------------------------------------------
 // Satellite: the per-worker participated map must not grow linearly with
 // key churn forever.
