@@ -8,8 +8,8 @@
 //             pre-repl baseline every earlier bench measured.
 //   cluster1  a 1-member repl cluster. Quorum is 1, so no peer round
 //             trip happens — the delta over `plain` is the pure
-//             commit-gate overhead (drain into the log, watermark
-//             bookkeeping, the gate's own wake-up).
+//             commit-gate overhead (the commit index bookkeeping,
+//             the gate's own wake-up).
 //   cluster3  a 3-member cluster (quorum 2): every grant and release
 //             now waits for one follower to append before the client
 //             is acked — the real price of surviving a primary crash.

@@ -20,7 +20,7 @@
 //
 // --cluster N forks an N-member replicated cluster (elect_server
 // --cluster, each member also dumping --snapshot to its own file every
-// 20 ms, so the snapshot trim races the replication drain under
+// 20 ms, so the snapshot trim races replication and compaction under
 // faults), one nemesis proxy in front of each member, and workers
 // holding multi-endpoint clients that chase not_primary redirects.
 // Every kill phase becomes kill-the-PRIMARY: SIGKILL the member

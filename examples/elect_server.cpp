@@ -93,8 +93,9 @@ void on_signal(int) { interrupted = 1; }
 
 /// Periodic snapshot dumper. Every dump moves the command log's history
 /// past what the snapshot captures, so a long-running server holds a
-/// bounded log, not an unbounded replay history; a command the
-/// replication drain or the observer feed has not read yet stays.
+/// bounded log, not an unbounded replay history; an entry the observer
+/// feed has not read yet, or on a cluster member one past the
+/// replication's compaction point, stays.
 class snapshotter {
  public:
   snapshotter(elect::svc::service& service, std::string path,

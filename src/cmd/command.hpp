@@ -12,10 +12,11 @@
 // the epoch-fencing discipline (a replica that replays the stream can
 // bump epochs on failover and zombies still get `stale_epoch`).
 //
-// Commands are ordered per shard, not globally: keys never migrate
-// between shards, so cross-shard interleaving is unobservable and each
-// shard's strictly-increasing `seq` is a complete order for the keys it
-// owns.
+// Each command also carries its shard's strictly-increasing `seq`: keys
+// never migrate between shards, so a shard's seqs are a complete order
+// for the keys it owns — what replay validates and what a snapshot's
+// per-shard watermark records. The command log (cmd/log.hpp) orders
+// every command by one global index on top.
 //
 // Time in a command is *logical*: `at_ms` is milliseconds since the
 // emitting registry's construction (steady-clock based, so wall-clock
@@ -99,11 +100,11 @@ struct command {
 
 /// Command-log accounting, surfaced through the wire admin_snapshot op.
 struct log_stats {
-  /// Is the registry appending commands at all?
+  /// Is the registry appending commands at all (is a cursor open)?
   bool recording = false;
-  /// Commands ever assigned a seq (lifetime, includes trimmed).
+  /// Entries ever appended: the log's last index (trimmed included).
   std::uint64_t recorded = 0;
-  /// Commands currently retained in memory (recorded minus trimmed).
+  /// Entries currently retained in memory.
   std::uint64_t retained = 0;
 };
 

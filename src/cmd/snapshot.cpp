@@ -1,127 +1,36 @@
 #include "cmd/snapshot.hpp"
 
-#include <cstring>
+#include "common/bytes.hpp"
 
 namespace elect::cmd {
 
-namespace {
-
-// Little-endian primitives, same discipline as net/wire.cpp: writes
-// append, reads go through a bounds-checked cursor that latches failure.
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-struct cursor {
-  const std::uint8_t* at;
-  std::size_t left;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (left < 1) return fail();
-    const std::uint8_t v = at[0];
-    at += 1;
-    left -= 1;
-    return v;
-  }
-
-  std::uint16_t u16() {
-    if (left < 2) return fail();
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(at[i]) << (8 * i);
-    at += 2;
-    left -= 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    if (left < 4) return fail();
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(at[i]) << (8 * i);
-    at += 4;
-    left -= 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (left < 8) return fail();
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(at[i]) << (8 * i);
-    at += 8;
-    left -= 8;
-    return v;
-  }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok || left < n) {
-      (void)fail();
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(at), n);
-    at += n;
-    left -= n;
-    return s;
-  }
-
-  std::uint8_t fail() {
-    ok = false;
-    left = 0;
-    return 0;
-  }
-};
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_snapshot(const snapshot_data& data) {
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + data.shards.size() * 24);
-  put_u32(out, snapshot_magic);
-  put_u16(out, snapshot_version);
-  put_u32(out, static_cast<std::uint32_t>(data.shards.size()));
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(16 + data.shards.size() * 24);
+  byte_writer out(bytes);
+  out.u32(snapshot_magic);
+  out.u16(snapshot_version);
+  out.u32(static_cast<std::uint32_t>(data.shards.size()));
   for (const snapshot_shard& s : data.shards) {
-    put_u64(out, s.last_seq);
-    put_u64(out, s.last_at_ms);
-    put_u32(out, static_cast<std::uint32_t>(s.keys.size()));
+    out.u64(s.last_seq);
+    out.u64(s.last_at_ms);
+    out.u32(static_cast<std::uint32_t>(s.keys.size()));
     for (const snapshot_key& k : s.keys) {
-      put_string(out, k.key);
-      put_u64(out, k.epoch);
-      put_u32(out, static_cast<std::uint32_t>(k.leader));
-      put_u8(out, k.mode);
-      put_u64(out, static_cast<std::uint64_t>(k.lease_rel_ms));
+      out.str(k.key);
+      out.u64(k.epoch);
+      out.i32(k.leader);
+      out.u8(k.mode);
+      out.u64(static_cast<std::uint64_t>(k.lease_rel_ms));
     }
   }
-  return out;
+  return bytes;
 }
 
 snapshot_decode_result decode_snapshot(const std::vector<std::uint8_t>& bytes) {
   snapshot_decode_result result;
-  cursor c{bytes.data(), bytes.size()};
-  const std::uint32_t magic = c.u32();
-  if (!c.ok) {
+  byte_reader in(bytes);
+  std::uint32_t magic = 0;
+  if (!in.u32(magic)) {
     result.error = "truncated snapshot: shorter than the header";
     return result;
   }
@@ -129,8 +38,8 @@ snapshot_decode_result decode_snapshot(const std::vector<std::uint8_t>& bytes) {
     result.error = "bad snapshot magic (not an elect snapshot file)";
     return result;
   }
-  const std::uint16_t version = c.u16();
-  if (!c.ok) {
+  std::uint16_t version = 0;
+  if (!in.u16(version)) {
     result.error = "truncated snapshot: shorter than the header";
     return result;
   }
@@ -138,43 +47,40 @@ snapshot_decode_result decode_snapshot(const std::vector<std::uint8_t>& bytes) {
     result.error = "unsupported snapshot version " + std::to_string(version);
     return result;
   }
-  const std::uint32_t shard_count = c.u32();
+  std::uint32_t shard_count = 0;
   // A shard header alone is 24 bytes; reject counts the remaining bytes
   // cannot possibly satisfy before reserving anything.
-  if (!c.ok || shard_count > c.left / 24 + 1) {
+  if (!in.u32(shard_count) || shard_count > in.left() / 24 + 1) {
     result.error = "truncated snapshot: implausible shard count";
     return result;
   }
   snapshot_data data;
   data.shards.resize(shard_count);
   for (snapshot_shard& s : data.shards) {
-    s.last_seq = c.u64();
-    s.last_at_ms = c.u64();
-    const std::uint32_t key_count = c.u32();
+    std::uint32_t key_count = 0;
     // Each key record is at least 25 bytes (4 len + 8 epoch + 4 leader
     // + 1 mode + 8 lease), so a count beyond left/25 is a lie.
-    if (!c.ok || key_count > c.left / 25 + 1) {
+    if (!in.u64(s.last_seq) || !in.u64(s.last_at_ms) || !in.u32(key_count) ||
+        key_count > in.left() / 25 + 1) {
       result.error = "truncated snapshot: implausible key count";
       return result;
     }
     s.keys.resize(key_count);
     for (snapshot_key& k : s.keys) {
-      k.key = c.str();
-      k.epoch = c.u64();
-      k.leader = static_cast<std::int32_t>(c.u32());
-      k.mode = c.u8();
-      k.lease_rel_ms = static_cast<std::int64_t>(c.u64());
-      if (!c.ok) {
+      std::uint64_t lease = 0;
+      if (!in.str(k.key, UINT32_MAX) || !in.u64(k.epoch) ||
+          !in.i32(k.leader) || !in.u8(k.mode) || !in.u64(lease)) {
         result.error = "truncated snapshot: key record cut short";
         return result;
       }
+      k.lease_rel_ms = static_cast<std::int64_t>(lease);
       if (k.mode > 2) {
         result.error = "corrupt snapshot: unknown grant mode";
         return result;
       }
     }
   }
-  if (c.left != 0) {
+  if (in.left() != 0) {
     result.error = "corrupt snapshot: trailing bytes after the last shard";
     return result;
   }

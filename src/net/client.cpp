@@ -290,6 +290,9 @@ void client::resubscribe_watches() {
   {
     const std::lock_guard<std::mutex> lock(watch_mutex_);
     for (auto& [key, ks] : key_subs_) {
+      // A subscribe in flight is retried on the new connection by the
+      // watch() that issued it.
+      if (ks.subscribing) continue;
       ks.server_id = 0;
       ks.subscribing = true;
       keys.push_back(key);
@@ -633,7 +636,9 @@ std::uint64_t client::watch(const std::string& key,
   }
   if (!need_subscribe) return id;
 
-  const auto r = call(wire::op::watch, key, 0, 0);
+  // Routed: a follower answers not_primary, and a multi-endpoint client
+  // follows it to the primary, where watches are served.
+  const auto r = call_routed(wire::op::watch, key, 0, 0);
   const bool subscribed = r.has_value() && r->result == wire::status::ok;
   std::uint64_t orphan_server_id = 0;
   {

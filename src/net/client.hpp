@@ -144,8 +144,10 @@ class client {
   /// cancel any subscription; a callback that blocks forever stalls
   /// only this client's watch delivery. Watches on the same key share
   /// one server-side subscription (one push frame per transition,
-  /// delivered once to each callback). Returns a client-side watch id,
-  /// 0 on a dead connection or server refusal. Events published between
+  /// delivered once to each callback). A cluster member serves a watch
+  /// only as primary; a multi-endpoint client follows the redirect.
+  /// Returns a client-side watch id, 0 on a dead connection or server
+  /// refusal. Events published between
   /// subscription and this call returning are delivered.
   [[nodiscard]] std::uint64_t watch(
       const std::string& key,
@@ -166,7 +168,7 @@ class client {
   /// ignored for list and snapshot) and return the raw response —
   /// `denied` when the server's admin surface is off, empty on
   /// transport failure. `epoch` carries the op's integer argument
-  /// (admin_commands: the page offset into the command stream). The
+  /// (admin_commands: the log index to resume after). The
   /// elect_admin CLI and the chaos checker are built on this.
   [[nodiscard]] std::optional<wire::response> admin(
       wire::op kind, const std::string& key = "", std::uint64_t epoch = 0);

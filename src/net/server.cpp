@@ -502,8 +502,8 @@ void server::stop() {
   if (stopping_.exchange(true)) return;
   // Reactor teardown finishes every connection: parked acquires are
   // taken back (answered `rejected`), queued work finds it closed, and
-  // a cluster member's reclaims join the side pool's queue, which the
-  // executors drain before they exit.
+  // each session's leases are reclaimed on the spot; the executors
+  // drain what was queued before they exit.
   for (auto& re : reactors_) {
     if (re->thread.joinable()) {
       re->mail->kick();
@@ -851,7 +851,6 @@ bool server::on_pool(wire::op kind) const {
     case wire::op::release:
     case wire::op::release_fenced:
     case wire::op::renew:
-    case wire::op::disconnect:
       // The commit gate may block for up to commit_wait_ms; a
       // follower's redirect is cheap wherever it runs.
       return config_.cluster.enabled();
@@ -907,11 +906,7 @@ void server::executor_main() {
       p = std::move(queue_.items.front());
       queue_.items.pop_front();
     }
-    if (p.reclaim) {
-      reclaim(*p.conn);
-    } else {
-      serve(p);
-    }
+    serve(p);
   }
 }
 
@@ -969,10 +964,14 @@ void server::serve(const pending& p) {
       case wire::op::release_fenced:
       case wire::op::renew:
       case wire::op::admin_force_release:
+      case wire::op::watch:
         // Mutations only run where the replicated log is written.
         // (disconnect is deliberately absent: a follower session holds
         // nothing, so serving it locally is correct — and the implicit
         // disconnect on socket close has no one to redirect anyway.)
+        // Watches follow the primary too: a follower renders the same
+        // committed log but behind it — one catching up replays history
+        // — so a watch that moved there would see transitions go back.
         if (!config_.cluster.is_primary()) {
           r.result = wire::status::not_primary;
           r.body = config_.cluster.primary_hint();
@@ -1184,11 +1183,10 @@ void server::serve_admin(const pending& p, wire::response& r) {
       break;
     }
     case wire::op::admin_commands: {
-      // Page through the retained command log from a position the
-      // client holds: the request's epoch packs (shard << 48 | seq) —
-      // resume after that seq of that shard — and the response's epoch
-      // is the position the next page starts from. A page reads only
-      // its own slice of each shard's log, so commands appended between
+      // Page through the retained, committed command log from a position
+      // the client holds: the request's epoch is the log index to resume
+      // after, and the response's epoch is the index the next page
+      // resumes after. Indices never move, so commands appended between
       // pages shift nothing: none repeats and none is skipped. An empty
       // page ends the pass.
       if (!registry.command_log_enabled()) {
@@ -1196,31 +1194,26 @@ void server::serve_admin(const pending& p, wire::response& r) {
         break;
       }
       constexpr std::size_t chunk = 256;
-      int shard = static_cast<int>(
-          std::min<std::uint64_t>(p.req.epoch >> 48, registry.shard_count()));
-      std::uint64_t after = p.req.epoch & ((1ull << 48) - 1);
+      std::uint64_t after = p.req.epoch;
       std::string body = "{\"total\":" +
                          std::to_string(registry.log_stats().retained) +
                          ",\"commands\":[";
       const std::size_t empty = body.size();
-      for (bool full = false; !full && shard < registry.shard_count();) {
-        const auto slice = registry.read_log(shard, after, chunk);
-        for (const cmd::command& c : slice) {
+      for (bool full = false; !full;) {
+        const auto page = registry.log().read(after, chunk);
+        for (const auto& [index, c] : page) {
           const std::string one = (body.size() == empty ? "" : ",") +
                                   cmd::to_json(c);
           full = body.size() + one.size() > wire::max_frame_bytes / 2;
           if (full) break;
           body += one;
-          after = c.seq;
+          after = index;
         }
-        if (!full && slice.size() < chunk) {
-          ++shard;  // this shard is read out
-          after = 0;
-        }
+        if (page.size() < chunk) break;  // read out
       }
       body += "]}";
       r.body = std::move(body);
-      r.epoch = (static_cast<std::uint64_t>(shard) << 48) | after;
+      r.epoch = after;
       r.result = wire::status::ok;
       break;
     }
@@ -1708,29 +1701,16 @@ void server::finish_connection(reactor& r, const connection_ptr& conn) {
   if (conn->session.has_value()) {
     // The disconnect-on-close hook: whatever the remote client held is
     // reclaimed NOW — its rivals re-elect immediately instead of
-    // waiting out the lease TTL. It is the implicit disconnect, so it
-    // runs where a disconnect op would: on a cluster member the commit
-    // gate may hold it, and it must not hold the reactor. A win that
+    // waiting out the lease TTL. Like a disconnect op it waits on no
+    // commit gate, so it runs right here. Each reclaimed key's
+    // disconnect_reclaimed command carries its real epoch, so the
+    // journal names every key with no pre-scan of held keys. A win that
     // lands after the scan is handed back by serve_acquire.
-    if (on_pool(wire::op::disconnect)) {
-      std::vector<pending> job;
-      job.push_back(pending{conn, {}, nullptr, /*reclaim=*/true});
-      push_work(job);
-    } else {
-      reclaim(*conn);
-    }
+    counters_.disconnect_reclaims.fetch_add(conn->session->reclaim_all(),
+                                            std::memory_order_relaxed);
   }
   r.active.fetch_sub(1, std::memory_order_relaxed);
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void server::reclaim(connection& conn) {
-  // Each reclaimed key's disconnect_reclaimed command carries its real
-  // epoch, so the event journal names every key with no pre-scan of
-  // held keys.
-  const std::size_t reclaimed = conn.session->reclaim_all();
-  counters_.disconnect_reclaims.fetch_add(reclaimed,
-                                          std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------

@@ -18,8 +18,9 @@
 // the reactor that read it, unless it may wait on another thread: one
 // rule (on_pool) sends those to a small side pool of executors. They
 // are the ops the commit gate can hold on a cluster member (the acquire
-// family, release, renew, disconnect, and a closed connection's
-// reclaim) and the admin ops, which scan the registry or write a file.
+// family, release, renew) and the admin ops, which scan the registry or
+// write a file. A disconnect — the op, or a closed connection's reclaim
+// — waits on no gate, so it runs on its reactor.
 // Everything else — every client op of a standalone server, the peer
 // ops, watches, metrics — runs inline: a registry CAS needs no thread
 // hop. The blocking ops (acquire, try_acquire_for) never block a thread
@@ -117,9 +118,9 @@ struct server_config {
   /// 0 binds an ephemeral port; read it back with server::port().
   std::uint16_t port = 0;
   /// Side-pool threads, for the requests that may wait on another
-  /// thread: on a cluster member every op the commit gate can hold (and
-  /// a closed connection's reclaim), on any server the admin ops but
-  /// admin_cluster_status. Every other request runs on its reactor.
+  /// thread: on a cluster member every op the commit gate can hold, on
+  /// any server the admin ops but admin_cluster_status. Every other
+  /// request runs on its reactor.
   int executors = 4;
   /// Outstanding requests per connection before the server stops
   /// reading that socket. Parked acquires are not counted.
@@ -425,9 +426,6 @@ class server {
     /// Set for the acquire family, whose request lives in the op (req
     /// is then empty).
     acquire_ptr acquire;
-    /// A closed connection's implicit disconnect: reclaim what its
-    /// session held (req and acquire unused).
-    bool reclaim = false;
   };
 
   /// The side pool's queue.
@@ -495,8 +493,6 @@ class server {
   /// One attempt of an acquire-family op: answer it, or park it on the
   /// epoch it lost.
   void serve_acquire(const acquire_ptr& op);
-  /// Reclaim everything a closed connection's session held.
-  void reclaim(connection& conn);
   /// The op's final answer (`r` null: nobody to answer — the connection
   /// closed): traced spans, the frame, the in-flight slot.
   void finish(const acquire_ptr& op, const wire::response* r);

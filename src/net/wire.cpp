@@ -1,87 +1,10 @@
 #include "net/wire.hpp"
 
-#include <cstring>
+#include "common/bytes.hpp"
 
 namespace elect::net::wire {
 
 namespace {
-
-// Little-endian scalar append/read. Byte-by-byte on purpose: exact wire
-// layout on every host, no alignment or endianness assumptions.
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked little-endian reads over one frame body.
-class cursor {
- public:
-  explicit cursor(const std::vector<std::uint8_t>& data) : data_(data) {}
-
-  [[nodiscard]] bool u8(std::uint8_t& out) {
-    if (at_ + 1 > data_.size()) return fail();
-    out = data_[at_++];
-    return true;
-  }
-
-  [[nodiscard]] bool u32(std::uint32_t& out) {
-    if (at_ + 4 > data_.size()) return fail();
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<std::uint32_t>(data_[at_++]) << (8 * i);
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool u64(std::uint64_t& out) {
-    if (at_ + 8 > data_.size()) return fail();
-    out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(data_[at_++]) << (8 * i);
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool string(std::string& out, std::uint32_t max_bytes) {
-    std::uint32_t length = 0;
-    if (!u32(length)) return false;
-    if (length > max_bytes || at_ + length > data_.size()) return fail();
-    out.assign(reinterpret_cast<const char*>(data_.data()) + at_, length);
-    at_ += length;
-    return true;
-  }
-
-  /// Everything consumed, nothing trailing? Trailing bytes mean the
-  /// peer speaks a different dialect — reject rather than guess.
-  [[nodiscard]] bool exhausted() const { return ok_ && at_ == data_.size(); }
-
- private:
-  bool fail() {
-    ok_ = false;
-    return false;
-  }
-
-  const std::vector<std::uint8_t>& data_;
-  std::size_t at_ = 0;
-  bool ok_ = true;
-};
 
 /// Reserve the 4-byte length slot, append the body, then backfill the
 /// length — one buffer, one pass.
@@ -141,26 +64,28 @@ std::string_view to_string(status s) {
 
 std::vector<std::uint8_t> encode_request(const request& r) {
   std::vector<std::uint8_t> frame(4, 0);  // length backfilled below
-  put_u64(frame, r.id);
-  put_u8(frame, static_cast<std::uint8_t>(r.kind));
-  put_string(frame, r.key);
-  put_u64(frame, r.epoch);
-  put_u64(frame, r.timeout_ms);
-  put_u64(frame, r.trace_id);
-  put_string(frame, r.body);
+  byte_writer out(frame);
+  out.u64(r.id);
+  out.u8(static_cast<std::uint8_t>(r.kind));
+  out.str(r.key);
+  out.u64(r.epoch);
+  out.u64(r.timeout_ms);
+  out.u64(r.trace_id);
+  out.str(r.body);
   finish_frame(frame);
   return frame;
 }
 
 std::vector<std::uint8_t> encode_response(const response& r) {
   std::vector<std::uint8_t> frame(4, 0);
-  put_u64(frame, r.id);
-  put_u8(frame, static_cast<std::uint8_t>(r.kind));
-  put_u8(frame, static_cast<std::uint8_t>(r.result));
-  put_u8(frame, r.flags);
-  put_u64(frame, r.epoch);
-  put_u64(frame, r.lease_remaining_ms);
-  put_string(frame, r.body);
+  byte_writer out(frame);
+  out.u64(r.id);
+  out.u8(static_cast<std::uint8_t>(r.kind));
+  out.u8(static_cast<std::uint8_t>(r.result));
+  out.u8(r.flags);
+  out.u64(r.epoch);
+  out.u64(r.lease_remaining_ms);
+  out.str(r.body);
   finish_frame(frame);
   return frame;
 }
@@ -216,12 +141,12 @@ std::optional<svc::watch_event> parse_event(const response& r) {
 }
 
 std::optional<request> decode_request(const std::vector<std::uint8_t>& body) {
-  cursor in(body);
+  byte_reader in(body);
   request r;
   std::uint8_t kind = 0;
-  if (!in.u64(r.id) || !in.u8(kind) || !in.string(r.key, max_key_bytes) ||
+  if (!in.u64(r.id) || !in.u8(kind) || !in.str(r.key, max_key_bytes) ||
       !in.u64(r.epoch) || !in.u64(r.timeout_ms) || !in.u64(r.trace_id) ||
-      !in.string(r.body, max_frame_bytes) || !in.exhausted()) {
+      !in.str(r.body, max_frame_bytes) || !in.exhausted()) {
     return std::nullopt;
   }
   if (kind >= op_count) return std::nullopt;
@@ -231,13 +156,13 @@ std::optional<request> decode_request(const std::vector<std::uint8_t>& body) {
 
 std::optional<response> decode_response(
     const std::vector<std::uint8_t>& body) {
-  cursor in(body);
+  byte_reader in(body);
   response r;
   std::uint8_t kind = 0;
   std::uint8_t result = 0;
   if (!in.u64(r.id) || !in.u8(kind) || !in.u8(result) || !in.u8(r.flags) ||
       !in.u64(r.epoch) || !in.u64(r.lease_remaining_ms) ||
-      !in.string(r.body, max_frame_bytes) || !in.exhausted()) {
+      !in.str(r.body, max_frame_bytes) || !in.exhausted()) {
     return std::nullopt;
   }
   if (kind >= op_count || result > status_max) return std::nullopt;

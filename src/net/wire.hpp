@@ -119,12 +119,11 @@ enum class op : std::uint8_t {
   admin_snapshot = 15,
   /// Admin: page through the registry's retained, committed command
   /// log (the replayable stream behind snapshots). `epoch` carries the
-  /// log position to resume after, packed as (shard << 48 | seq); 0
-  /// starts at the beginning. The response `body` is a JSON object
-  /// {"total":N,"commands":[...]} — N commands retained in all — holding
-  /// as many commands (cmd::to_json objects, shard-by-shard seq order)
-  /// as fit one frame, and the response `epoch` is the position the
-  /// next page resumes after; an empty page ends the pass. Same gate as
+  /// log index to resume after; 0 starts at the beginning. The response
+  /// `body` is a JSON object {"total":N,"commands":[...]} — N commands
+  /// retained in all — holding as many commands (cmd::to_json objects,
+  /// in log order) as fit one frame, and the response `epoch` is the
+  /// index the next page resumes after; an empty page ends the pass. Same gate as
   /// admin_list; `rejected` when the registry keeps no history
   /// (record_commands off).
   admin_commands = 16,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "cmd/snapshot.hpp"
+#include "common/bytes.hpp"
 #include "common/check.hpp"
 #include "svc/service.hpp"
 
@@ -17,8 +17,17 @@ using net::wire::status;
 // All envelopes ride the opaque `body` of a v4 wire request/response.
 // Each envelope lists its fields once, in wire order (fields()), and
 // that one list drives both encode() and decode(), so the two cannot
-// drift. Encoding mirrors the command codec: little-endian,
-// bounds-checked, trailing bytes rejected.
+// drift. Encoding is common/bytes.hpp's: little-endian, bounds-checked,
+// trailing bytes rejected.
+
+/// A run of encoded log entries (cmd::encode_entry): what an append
+/// carries, encoded in place from the sender's log. The receiver
+/// validates the whole run when the body decodes, then decodes each
+/// entry again as it appends it to its own log.
+struct entry_batch {
+  std::uint32_t count = 0;
+  std::string bytes{};
+};
 
 struct vote_request_body {
   std::uint64_t term = 0;
@@ -36,7 +45,7 @@ struct append_request_body {
   std::uint64_t prev_index = 0;
   std::uint64_t prev_term = 0;
   std::uint64_t leader_commit = 0;
-  std::vector<cmd::log_entry> entries{};
+  entry_batch entries{};
   bool fields(auto& f) {
     return f(term) && f(leader) && f(prev_index) && f(prev_term) &&
            f(leader_commit) && f(entries);
@@ -79,24 +88,26 @@ struct verdict_body {
 namespace {
 
 struct field_writer {
-  cmd::byte_writer out;
+  byte_writer<std::string> out;
   // Writes cannot fail; returning true keeps one fields() list for both.
   bool operator()(std::uint64_t v) { out.u64(v); return true; }
   bool operator()(std::int32_t v) { out.i32(v); return true; }
   bool operator()(bool v) { out.u8(v ? 1 : 0); return true; }
   bool operator()(const std::string& v) { out.str(v); return true; }
-  bool operator()(const std::vector<cmd::log_entry>& entries) {
-    out.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const cmd::log_entry& e : entries) {
-      out.u64(e.term);
-      cmd::encode_command(out, e.change);
-    }
+  bool operator()(const entry_batch& b) {
+    out.u32(b.count);
+    out.bytes(b.bytes);
     return true;
   }
 };
 
+/// A batch count beyond this is a malformed body, not a real append: an
+/// append carries at most max_batch_entries, and a hostile length
+/// prefix must not drive the decode.
+constexpr std::uint32_t max_wire_entries = 1u << 16;
+
 struct field_reader {
-  cmd::byte_reader in;
+  byte_reader in;
   bool operator()(std::uint64_t& v) { return in.u64(v); }
   bool operator()(std::int32_t& v) { return in.i32(v); }
   bool operator()(bool& v) {
@@ -108,36 +119,41 @@ struct field_reader {
   bool operator()(std::string& v) {
     return in.str(v, net::wire::max_frame_bytes);
   }
-  bool operator()(std::vector<cmd::log_entry>& entries) {
-    std::uint32_t count = 0;
-    if (!in.u32(count) || count > (1u << 16)) return false;
-    entries.resize(count);
-    for (cmd::log_entry& e : entries) {
-      if (!in.u64(e.term) ||
-          !cmd::decode_command(in, e.change, net::wire::max_key_bytes)) {
+  bool operator()(entry_batch& b) {
+    if (!in.u32(b.count) || b.count > max_wire_entries) return false;
+    // Validate every entry now, so a malformed body changes nothing;
+    // the receiver decodes the kept bytes again as it appends.
+    const std::uint8_t* start = in.position();
+    cmd::log_entry scratch;
+    for (std::uint32_t k = 0; k < b.count; ++k) {
+      if (!cmd::decode_entry(in, scratch, net::wire::max_key_bytes)) {
         return false;
       }
     }
+    b.bytes.assign(reinterpret_cast<const char*>(start),
+                   static_cast<std::size_t>(in.position() - start));
     return true;
   }
 };
 
 template <typename Body>
 std::string encode(Body& body) {
-  field_writer w;
+  std::string bytes;
+  field_writer w{byte_writer(bytes)};
   (void)body.fields(w);
-  return w.out.take();
+  return bytes;
 }
 
 template <typename Body>
 bool decode(std::string_view bytes, Body& body) {
-  field_reader r{cmd::byte_reader(bytes)};
+  field_reader r{byte_reader(bytes)};
   return body.fields(r) && r.in.exhausted();
 }
 
 /// Per-append batch bounds: cap entries and bytes well under the 1 MiB
 /// frame limit so the envelope always fits.
 constexpr std::size_t max_batch_entries = 256;
+static_assert(max_batch_entries <= max_wire_entries);
 constexpr std::size_t max_batch_bytes = 128 * 1024;
 
 /// Room the snapshot envelope needs inside one frame besides the bytes.
@@ -157,7 +173,8 @@ std::string_view to_string(role r) {
 core::core(cluster_config config, svc::service& service, vote_record vote,
            vote_writer writer, std::uint64_t now_ms)
     : config_(std::move(config)),
-      service_(service),
+      registry_(service.registry()),
+      log_(registry_.log()),
       write_vote_(std::move(writer)),
       term_(vote.term),
       voted_for_(vote.voted_for),
@@ -169,18 +186,20 @@ core::core(cluster_config config, svc::service& service, vote_record vote,
   for (int m = 0; m < static_cast<int>(config_.members.size()); ++m) {
     if (m != config_.self) peers_.push_back(peer_progress{.member = m});
   }
-  // The drain cursor makes the registry record; from here on only a
-  // quorum commit (or an installed snapshot) lets observers read on.
-  drain_ = service_.registry().open_cursor();
-  service_.registry().commit_manually();
+  // From here on only a quorum commit (or an installed snapshot) lets
+  // observers read on; the core's cursor makes the registry record, and
+  // the state right now is the first base.
+  log_.commit_manually();
+  cursor_ = log_.open_cursor();
+  base_ = registry_.snapshot_cut();
   // Every member boots as a follower: its registry originates no
   // mutation (no grant, no release, no lease expiry) until it wins a
   // term.
-  service_.registry().set_replica(true);
+  registry_.set_replica(true);
   reset_election_deadline(now_ms);
 }
 
-core::~core() { service_.registry().close_cursor(drain_); }
+core::~core() { log_.close_cursor(cursor_); }
 
 // --- Role transitions ---------------------------------------------------
 
@@ -194,18 +213,13 @@ effects core::step_down(std::uint64_t new_term, std::uint64_t now_ms) {
   const bool was_primary = role_ == role::primary;
   if (was_primary) {
     // Only a primary originates mutations. The switch takes every shard
-    // lock, so each live mutation in flight lands before it — and is
-    // drained below — or is refused after it: nothing a client, the
-    // sweeper or a disconnect reclaim does from here on can run the
-    // registry ahead of the log.
-    service_.registry().set_replica(true);
-    // Ship any live-applied commands not drained yet, while term_ is
-    // still the term they were executed under. This keeps log ==
-    // registry at last_index across the demotion, so applied_index_
-    // stays truthful: a later append that would truncate below it is a
-    // real divergence (the registry is rebuilt), and a later
-    // re-promotion can keep the suffix without re-applying it.
-    (void)drain_log();
+    // lock, so each live mutation in flight lands in the log before it —
+    // under the term it executed in — or is refused after it: nothing a
+    // client, the sweeper or a disconnect reclaim does from here on can
+    // run the registry ahead of the log.
+    registry_.set_replica(true);
+    // A pending cut may cover entries that never commit.
+    pending_.reset();
   }
   if (new_term > term_) {
     term_ = new_term;
@@ -221,7 +235,7 @@ effects core::step_down(std::uint64_t new_term, std::uint64_t now_ms) {
     // Parked acquirers re-check too: a follower's epochs will not move
     // for them, so they must go answer not_primary. The wakes only
     // hand off.
-    service_.registry().wake_all();
+    registry_.wake_all();
   }
   reset_election_deadline(now_ms);
   // Gate waiters must bail: a deposed primary cannot ack anything.
@@ -257,14 +271,13 @@ effects core::become_primary() {
   // means this log already holds every entry the dead primary could
   // have acked: a committed entry lives on a majority, and we out-ran
   // a majority to win. Entries past our own commit point may or may
-  // not have committed — apply them to the registry exactly as the
-  // live path would have (the seq filter skips anything a deposed
-  // primary already executed), and let the new-term barrier below
-  // commit them by replication. An unacked grant in the suffix
-  // belongs to a session that died with the old primary, so the TTL
-  // plus the fence jump retire it; an acked one is preserved — never
-  // silently re-granted from epoch 0.
-  apply_through(log_.last_index(), /*committed=*/false);
+  // not have committed — execute them exactly as the live path would
+  // have, and let the new-term barrier below commit them by
+  // replication. An unacked grant in the suffix belongs to a session
+  // that died with the old primary, so the TTL plus the fence jump
+  // retire it; an acked one is preserved — never silently re-granted
+  // from epoch 0.
+  apply_through(log_.last_index());
   ELECT_CHECK_MSG(!needs_install_,
                   "promotion: registry diverged from this member's own log");
   // Barrier entry: asserts the new term at the log head, so this log
@@ -272,42 +285,20 @@ effects core::become_primary() {
   // suffix, and gives heartbeats something to commit immediately —
   // and with it the whole inherited suffix (the current-term guard in
   // advance_commit is what makes committing it safe).
-  cmd::log_entry barrier;
-  barrier.term = term_;
-  barrier.change.shard = -1;
-  log_.append(std::move(barrier));
+  log_.append({.term = term_, .change = {}});
+  log_.mark_applied(log_.last_index());
   for (peer_progress& p : peers_) {
     p.next_index = log_.last_index();
     p.match_index = 0;
     p.force_snapshot = false;
     p.due_ms = 0;
   }
-  // Originate again, then fence. fence_all takes every shard lock and
-  // hands parked acquirers their wakes; the drain ships its
-  // epoch_bumped commands next. The suffix applied above was replayed,
-  // not logged, so it never re-ships.
-  service_.registry().set_replica(false);
-  (void)service_.registry().fence_all(config_.fence_bump);
-  (void)drain_log();
+  // Originate again, at this term, then fence. fence_all takes every
+  // shard lock and hands parked acquirers their wakes; its
+  // epoch_bumped commands land in the log like any live mutation.
+  registry_.set_replica(false, term_);
+  (void)registry_.fence_all(config_.fence_bump);
   return {.send = true, .commit = advance_commit()};
-}
-
-// --- The drain: registry command log -> replicated log ------------------
-
-bool core::drain_log() {
-  std::vector<cmd::command> fresh;
-  service_.registry().read_cursor(drain_, -1, /*committed_only=*/false, fresh);
-  if (fresh.empty()) return false;
-  for (cmd::command& c : fresh) {
-    cmd::log_entry e;
-    e.term = term_;
-    e.change = std::move(c);
-    log_.append(std::move(e));
-  }
-  // Drained commands were already executed by the live registry; the
-  // log has just caught up to it.
-  applied_index_ = log_.last_index();
-  return true;
 }
 
 bool core::advance_commit() {
@@ -319,64 +310,61 @@ bool core::advance_commit() {
   std::sort(matches.begin(), matches.end(), std::greater<>());
   const std::uint64_t candidate =
       matches[static_cast<std::size_t>(config_.quorum() - 1)];
-  if (candidate <= commit_index_) return false;
+  if (candidate <= log_.commit_index()) return false;
   // Only entries of the current term commit by counting (the classic
   // Raft guard). This is what makes keeping the inherited suffix at
   // promotion safe: old-term entries never commit on their own — they
   // commit as the prefix of the first current-term entry (the
   // promotion barrier) that reaches a quorum.
   if (log_.term_at(candidate) != term_) return false;
-  for (std::uint64_t i = commit_index_ + 1; i <= candidate; ++i) {
-    if (i < log_.first_index()) continue;  // compacted: long committed
-    const cmd::command& c = log_.at(i).change;
-    if (c.shard >= 0) service_.registry().commit_through(c.shard, c.seq);
-  }
-  commit_index_ = candidate;
-  // The primary's registry is already ahead of the log (live path);
-  // committed entries are never re-applied here.
-  applied_index_ = std::max(applied_index_, commit_index_);
+  log_.commit_to(candidate);
   return true;
 }
 
-effects core::drain() {
+effects core::replicate() {
   if (role_ != role::primary) return {};
-  const bool drained = drain_log();
+  const std::uint64_t last = log_.last_index();
+  const bool behind =
+      std::any_of(peers_.begin(), peers_.end(),
+                  [last](const peer_progress& p) { return p.next_index <= last; });
   // Single-member clusters commit right here.
-  return {.send = drained, .commit = advance_commit()};
+  return {.send = behind, .commit = advance_commit()};
 }
 
 void core::maybe_compact() {
-  if (log_.size() < config_.compact_threshold) return;
-  // Once everything applied is committed, the registry state IS the
-  // log at commit_index_ and its snapshot is the compacted prefix: on
-  // the primary when the log is quiescent, on a follower (which applies
-  // only committed entries) whenever it has caught up. A deposed primary
-  // holding entries it applied live but never committed waits.
-  // trim_log moves the registry's history past them; the drain cursor
-  // keeps anything not yet shipped.
-  if (needs_install_ || applied_index_ != commit_index_) return;
+  if (needs_install_) return;
+  if (!pending_.has_value()) {
+    // A follower executes only committed entries, so it cuts only at
+    // its commit point; a deposed primary holding entries it executed
+    // live but never committed waits.
+    const std::uint64_t applied = applied_index();
+    if (applied < base_.index + config_.compact_threshold) return;
+    if (role_ != role::primary && applied != log_.commit_index()) return;
+    pending_ = registry_.snapshot_cut();
+  }
+  if (pending_->index > log_.commit_index()) return;
   // A primary keeps what a reachable follower still lacks: compacting
   // it away would cost that follower a snapshot install for trailing by
-  // one append. The snapshot may then run ahead of the index it
-  // replaces; the entries in between re-apply as no-ops (the seq filter
-  // in apply_through).
-  std::uint64_t through = commit_index_;
+  // one append.
   if (role_ == role::primary) {
     for (const peer_progress& p : peers_) {
-      if (p.reachable) through = std::min(through, p.match_index);
+      if (p.reachable && p.match_index < pending_->index) return;
     }
   }
-  if (through <= log_.snapshot_last_index()) return;
-  auto bytes = service_.registry().snapshot(/*trim_log=*/true);
-  log_.compact_to(through, log_.term_at(through), std::move(bytes));
+  base_ = std::move(*pending_);
+  pending_.reset();
+  log_.advance_cursor(cursor_, base_.index);
+  if (registry_.command_log_enabled()) {
+    log_.advance_cursor(registry_.history_cursor(), base_.index);
+  }
   ++counters_.compactions;
 }
 
 effects core::tick(std::uint64_t now_ms) {
   if (role_ == role::primary) {
-    // Drain on a timer too, so mutations with no client waiting on them
-    // (expiry sweeps, watch-visible transitions) replicate promptly.
-    const effects fx = drain();
+    // Replicate on a timer too, so mutations with no client waiting on
+    // them (expiry sweeps, a disconnect's reclaims) ship promptly.
+    const effects fx = replicate();
     maybe_compact();
     return fx;
   }
@@ -414,7 +402,7 @@ std::optional<outbound> core::next_message(std::size_t k,
   // time; after a failure so does everything else, so a dead peer costs
   // one call per heartbeat instead of a spin on refused connections.
   if (now_ms < p.due_ms && (!behind || !p.reachable)) return std::nullopt;
-  if (p.force_snapshot || p.next_index < log_.first_index()) {
+  if (p.force_snapshot || p.next_index <= base_.index) {
     // One install attempt per heartbeat: a refused one is not retried
     // in a loop.
     if (now_ms < p.due_ms) return std::nullopt;
@@ -424,51 +412,42 @@ std::optional<outbound> core::next_message(std::size_t k,
                           .leader = config_.self,
                           .prev_index = p.next_index - 1,
                           .prev_term = log_.term_at(p.next_index - 1),
-                          .leader_commit = commit_index_};
-  std::size_t batch_bytes = 0;
-  for (std::uint64_t i = p.next_index;
-       i <= log_.last_index() && req.entries.size() < max_batch_entries &&
-       batch_bytes < max_batch_bytes;
-       ++i) {
-    const cmd::log_entry& e = log_.at(i);
-    batch_bytes += e.change.key.size() + 64;
-    req.entries.push_back(e);
-  }
+                          .leader_commit = log_.commit_index()};
+  req.entries.count = log_.encode(p.next_index, max_batch_entries,
+                                  max_batch_bytes, req.entries.bytes);
   return outbound{.kind = op::peer_append,
                   .body = encode(req),
                   .term = term_,
                   .index = req.prev_index,
-                  .count = req.entries.size()};
+                  .count = req.entries.count};
 }
 
 std::optional<outbound> core::build_snapshot(peer_progress& p,
                                              std::uint64_t now_ms) {
   // The follower takes the snapshot's index as committed, so only
-  // committed state ships.
-  snapshot_request_body snap{.term = term_, .leader = config_.self};
-  if (!log_.snapshot_bytes().empty() &&
-      log_.snapshot_last_index() + 1 >= p.next_index) {
-    // The compacted prefix covers the gap; entries follow it.
-    snap.last_index = log_.snapshot_last_index();
-    snap.last_term = log_.snapshot_last_term();
-    snap.bytes.assign(log_.snapshot_bytes().begin(),
-                      log_.snapshot_bytes().end());
+  // committed state ships, and entries must be able to follow it: the
+  // base, or a pending cut once it commits. With neither, cut one now
+  // (unless one is still on its way to commit) and ship it once it
+  // commits.
+  const std::uint64_t commit = log_.commit_index();
+  const auto covers = [&p](const svc::log_snapshot& s) {
+    return s.index + 1 >= p.next_index;
+  };
+  const bool pending_ready =
+      pending_.has_value() && pending_->index <= commit;
+  const svc::log_snapshot* snap = nullptr;
+  if (covers(base_)) {
+    snap = &base_;
+  } else if (pending_ready && covers(*pending_)) {
+    snap = &*pending_;
   } else {
-    // Fresh snapshot at the log head: after a drain the registry state
-    // IS the log at last_index (any mutation racing the snapshot lands
-    // in later entries the follower's seq filter makes idempotent). It
-    // waits until that head is committed.
-    (void)drain_log();
-    if (commit_index_ != log_.last_index()) {
-      p.due_ms = now_ms + config_.heartbeat_ms;
-      return std::nullopt;
+    if (!pending_.has_value() || pending_ready) {
+      pending_ = registry_.snapshot_cut();
     }
-    const auto bytes = service_.registry().snapshot(/*trim_log=*/false);
-    snap.last_index = log_.last_index();
-    snap.last_term = log_.last_term();
-    snap.bytes.assign(bytes.begin(), bytes.end());
+    p.due_ms = now_ms + config_.heartbeat_ms;
+    return std::nullopt;
   }
-  if (snap.bytes.size() + snapshot_envelope_slack >
+  if (snap->bytes.size() + snapshot_envelope_slack >
       net::wire::max_frame_bytes) {
     // Cannot ship this state in one frame; count it as a failed append
     // and retry at heartbeat pace rather than spinning.
@@ -477,10 +456,16 @@ std::optional<outbound> core::build_snapshot(peer_progress& p,
     p.due_ms = now_ms + config_.heartbeat_ms;
     return std::nullopt;
   }
+  snapshot_request_body body{.term = term_,
+                             .leader = config_.self,
+                             .last_index = snap->index,
+                             .last_term = snap->term,
+                             .bytes = std::string(snap->bytes.begin(),
+                                                  snap->bytes.end())};
   return outbound{.kind = op::peer_snapshot,
-                  .body = encode(snap),
+                  .body = encode(body),
                   .term = term_,
-                  .index = snap.last_index};
+                  .index = snap->index};
 }
 
 std::uint64_t core::next_wake(std::size_t k, std::uint64_t now_ms) const {
@@ -571,9 +556,10 @@ effects core::handle_vote(const vote_request_body& q, std::uint64_t now_ms,
   verdict_body v{.term = term_};
   // The log-up-to-date check: a winner must already hold every
   // committed entry, or replication could roll back acked grants.
+  const std::uint64_t last_term = log_.last_term();
   const bool up_to_date =
-      q.last_log_term > log_.last_term() ||
-      (q.last_log_term == log_.last_term() &&
+      q.last_log_term > last_term ||
+      (q.last_log_term == last_term &&
        q.last_log_index >= log_.last_index());
   if (q.term == term_ && up_to_date &&
       (voted_for_ == q.candidate ||
@@ -602,7 +588,7 @@ effects core::handle_append(const append_request_body& q,
   leader_ = q.leader;
   reset_election_deadline(now_ms);
   a.term = term_;
-  a.match_hint = commit_index_;
+  a.match_hint = log_.commit_index();
   if (needs_install_) {
     a.need_snapshot = true;
     reply = encode(a);
@@ -611,23 +597,27 @@ effects core::handle_append(const append_request_body& q,
   // A prev_index inside the compacted prefix matches by construction:
   // that prefix is committed, and every later primary holds it.
   if (q.prev_index > log_.last_index() ||
-      (q.prev_index >= log_.snapshot_last_index() &&
+      (q.prev_index >= base_.index &&
        log_.term_at(q.prev_index) != q.prev_term)) {
     // Log mismatch: hint the committed prefix (always shared) so the
     // primary backtracks in one step instead of one index at a time.
     reply = encode(a);
     return fx;
   }
-  for (std::size_t k = 0; k < q.entries.size(); ++k) {
+  byte_reader in(q.entries.bytes);
+  for (std::uint32_t k = 0; k < q.entries.count; ++k) {
+    cmd::log_entry e;
+    (void)cmd::decode_entry(in, e, net::wire::max_key_bytes);  // validated
     const std::uint64_t idx = q.prev_index + 1 + k;
-    if (idx < log_.first_index()) continue;  // compacted: committed
+    if (idx <= base_.index) continue;  // compacted: committed
     if (idx <= log_.last_index()) {
-      if (log_.term_at(idx) == q.entries[k].term) continue;  // already have
-      // Conflict below the apply watermark: this registry executed
+      if (log_.term_at(idx) == e.term) continue;  // already have
+      // Conflict below the applied index: this registry executed
       // entries the cluster discarded (a deposed primary's live-applied
       // tail). Rebuild it from this member's committed state first; a
       // conflict at or below the commit point cannot be healed here.
-      if (idx <= applied_index_ && (!rebuild() || idx <= applied_index_)) {
+      if (idx <= applied_index() &&
+          (!rebuild() || idx <= applied_index())) {
         needs_install_ = true;
         a.need_snapshot = true;
         reply = encode(a);
@@ -635,66 +625,40 @@ effects core::handle_append(const append_request_body& q,
       }
       log_.truncate_from(idx);  // a deposed primary's tail: discard
     }
-    log_.append(q.entries[k]);
+    log_.append(std::move(e));
   }
   // Commit only what this append proved to match the primary's log: a
   // stale suffix past the batch (a deposed primary's tail that no
   // conflict has truncated yet) may sit below leader_commit.
-  const std::uint64_t proven = q.prev_index + q.entries.size();
-  if (std::min(q.leader_commit, proven) > commit_index_) {
-    commit_index_ = std::min(q.leader_commit, proven);
-    apply_through(commit_index_, /*committed=*/true);
+  const std::uint64_t proven = q.prev_index + q.entries.count;
+  const std::uint64_t commit = std::min(q.leader_commit, proven);
+  if (commit > log_.commit_index()) {
+    apply_through(commit);
+    log_.commit_to(commit);
     fx.commit = true;
   }
   a.success = true;
-  a.match_hint = q.prev_index + q.entries.size();
+  a.match_hint = proven;
   a.need_snapshot = needs_install_;  // apply may have hit a seq gap
   reply = encode(a);
   return fx;
 }
 
-void core::apply_through(std::uint64_t bound, bool committed) {
-  while (applied_index_ < bound && !needs_install_) {
-    const std::uint64_t idx = applied_index_ + 1;
-    if (idx < log_.first_index()) {
-      applied_index_ = log_.first_index() - 1;
-      continue;
-    }
-    const cmd::command& c = log_.at(idx).change;
-    if (c.shard >= 0) {
-      // Seq filter: after a snapshot install the next appends can
-      // overlap state the snapshot already contains — identical
-      // commands, safe to skip. A seq *gap* is different: replay
-      // validation rejects it, and only a fresh install can heal.
-      if (c.seq > service_.registry().shard_last_seq(c.shard)) {
-        const auto err = service_.registry().apply(c);
-        if (err.has_value()) {
-          needs_install_ = true;
-          return;
-        }
-      }
-      if (committed) service_.registry().commit_through(c.shard, c.seq);
-    }
-    applied_index_ = idx;
+void core::apply_through(std::uint64_t bound) {
+  for (std::uint64_t next = applied_index() + 1;
+       next <= bound && !needs_install_; ++next) {
+    if (registry_.apply_entry(next).has_value()) needs_install_ = true;
   }
 }
 
 bool core::rebuild() {
-  // This member's committed state: its compacted prefix (compaction and
-  // installs only ever hold committed state), or the empty registry
-  // when the log still starts at index 1; then its log to the commit
-  // index.
-  std::vector<std::uint8_t> base = log_.snapshot_bytes();
-  if (base.empty()) {
-    base = cmd::encode_snapshot(
-        cmd::snapshot_data{.shards = std::vector<cmd::snapshot_shard>(
-                               static_cast<std::size_t>(
-                                   service_.registry().shard_count()))});
+  // This member's committed state: its base (compaction and installs
+  // only ever hold committed state), then its log to the commit index.
+  if (registry_.install_snapshot(base_, /*keep_log=*/true).has_value()) {
+    return false;
   }
-  if (service_.registry().install_snapshot(base).has_value()) return false;
-  applied_index_ = log_.snapshot_last_index();
   needs_install_ = false;
-  apply_through(commit_index_, /*committed=*/true);
+  apply_through(log_.commit_index());
   return !needs_install_;
 }
 
@@ -711,7 +675,7 @@ effects core::handle_snapshot(const snapshot_request_body& q,
   leader_ = q.leader;
   reset_election_deadline(now_ms);
   v.term = term_;
-  if (q.last_index < commit_index_) {
+  if (q.last_index < log_.commit_index()) {
     // Older than what this member already committed (a late request):
     // installing it would drop committed entries from the log, and with
     // them this member's part in every quorum that holds them. A healthy
@@ -720,14 +684,16 @@ effects core::handle_snapshot(const snapshot_request_body& q,
     reply = encode(v);
     return fx;
   }
-  std::vector<std::uint8_t> bytes(q.bytes.begin(), q.bytes.end());
+  svc::log_snapshot cut{
+      .bytes = std::vector<std::uint8_t>(q.bytes.begin(), q.bytes.end()),
+      .index = q.last_index,
+      .term = q.last_term};
   // Shard-count mismatch or corruption: refusing leaves the primary
   // retrying, which is the observable we want for a misconfigured
-  // member.
-  if (!service_.registry().install_snapshot(bytes).has_value()) {
-    log_.reset_to(q.last_index, q.last_term, std::move(bytes));
-    commit_index_ = q.last_index;
-    applied_index_ = q.last_index;
+  // member. The install rebases the log: every cursor — this core's,
+  // the feed's, the history — resumes past the installed index.
+  if (!registry_.install_snapshot(cut).has_value()) {
+    base_ = std::move(cut);
     needs_install_ = false;
     ++counters_.snapshots_installed;
     v.ok = true;

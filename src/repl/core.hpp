@@ -2,18 +2,19 @@
 // a state machine with no threads, locks, sockets, files or clock.
 //
 // What is core: role, term, the one vote per term and the best-known
-// leader; the replicated log with its commit and applied indexes, the
-// registry drain cursor and the needs-install flag; per-peer replication
+// leader; the log's compaction point (the adopted base snapshot and a
+// pending one) and the needs-install flag; per-peer replication
 // progress; the election and heartbeat deadlines; the counters and the
-// seeded election-timeout RNG. The core calls into svc::service (drain,
-// apply, commit watermarks, snapshots, fencing, the replica switch)
-// exactly as a member must.
+// seeded election-timeout RNG. The log itself is the registry's
+// (cmd::command_log): the core ships, truncates, commits and compacts it
+// in place, and calls into svc::service (apply, snapshots, fencing, the
+// replica switch) exactly as a member must.
 //
 // What is left to the runner that hosts it: everything that waits or
 // talks. Each event hands the core the current time in milliseconds
 // (whatever clock the runner keeps) and the core answers with what to
 // do:
-//   * tick(now)             — timer: drain and commit on a primary,
+//   * tick(now)             — timer: replicate and compact on a primary,
 //                             start an election once the deadline passed;
 //   * handle_peer(r, now)   — a peer's request, answered in place;
 //   * next_message(k, now)  — what to send peer slot k right now (a vote
@@ -21,8 +22,8 @@
 //                             or nothing); the runner delivers it and
 //                             hands the reply — or the call's failure —
 //                             back through on_reply();
-//   * drain()               — the commit gate: ship the registry's fresh
-//                             commands into the log.
+//   * replicate()           — the commit gate's nudge after a live
+//                             mutation appended to the log.
 // Events return `effects`: whether the peer senders should look for work
 // and whether commit waiters should re-check. The durable vote goes
 // through one injected writer, so the server writes a file and
@@ -48,42 +49,47 @@
 // a winner must already hold every committed entry.
 //
 // Data path: the primary's svc::service applies client ops to its
-// registry immediately (the live path decides), and the core *drains*
-// the resulting cmd::commands into a term-stamped replicated log
-// through its own registry cursor: the cursor advances as it reads, so
-// each command ships exactly once, and a command leaves the registry's
-// log only after it shipped. Followers append the entries, and apply
-// them to their registries only once committed — the uncommitted
-// suffix lives in the repl log alone, so a conflict truncation never
-// has to claw state back out of a registry. An entry is committed when
-// a quorum holds it; the core then raises the registry's commit
-// watermark (registry::commit_through), which is what the service's
-// observer feed reads up to. repl::node's commit gate holds every
-// client ack until the mutation's shard watermark is committed, so a
-// primary cut off from its quorum confirms nothing: its clients see
-// `connection_lost` and demote; the promotion-time fence
-// (registry::fence_all with the configured bump) additionally jumps
-// every epoch clear of whatever the deposed primary's uncommitted tail
-// may have granted. Every member compacts its log into a registry
-// snapshot once everything it applied is committed.
+// registry immediately (the live path decides), and each executed
+// command lands in the registry's log under the primary's term as it
+// executes — that log is what the core ships, so nothing is copied.
+// Followers append received entries without executing them, and
+// execute them from the log only once committed — the uncommitted
+// suffix is log only, so a conflict truncation never has to claw state
+// back out of a registry. An entry is committed when a quorum holds it;
+// the core then moves the log's one commit index, which is what the
+// service's observer feed reads up to, on the primary and the followers
+// alike. repl::node's commit gate holds every client ack until the
+// log's index after the mutation is committed, so a primary cut off
+// from its quorum confirms nothing: its clients see `connection_lost`
+// and demote; the promotion-time fence (registry::fence_all with the
+// configured bump) additionally jumps every epoch clear of whatever the
+// deposed primary's uncommitted tail may have granted.
+//
+// Compaction: a snapshot is an exact cut, filed under the index it
+// covers. Once the log has grown compact_threshold entries past the
+// base, the core cuts one (a follower only at its commit point) and
+// adopts it as the new base once it is committed and every reachable
+// follower holds it; adopting moves the core's log cursor and the
+// registry's history cursor there, so the prefix leaves the log. The
+// base is also what ships to a follower that needs an install (a cut is
+// taken for it when the base cannot serve, and ships once committed),
+// and what a member rewinds to when it must re-execute its log.
 //
 // Failover: a member that wins an election *keeps* its whole log — the
 // up-to-date check on votes means the winner's log already contains
-// every entry any quorum may have committed. It applies the inherited
-// suffix to its registry ahead of commit, appends a barrier entry at
-// the new term (whose quorum replication commits the whole prefix — the
-// current-term commit guard makes counting replicas safe), switches its
-// registry from replica to primary (only a primary originates
+// every entry any quorum may have committed. It executes the inherited
+// suffix ahead of commit, appends a barrier entry at the new term (whose
+// quorum replication commits the whole prefix — the current-term commit
+// guard makes counting replicas safe), switches its registry from
+// replica to primary at the new term (only a primary originates
 // mutations: grants, releases, renewals, lease expiry, reclaims), fences
-// it, and starts replicating. A deposed primary first switches its
-// registry back to replica — under every shard lock, so each live
-// mutation in flight lands before the switch or is refused after it —
-// then drains the registry's pending commands into the log under the
-// old term, so log and registry stay in lockstep across the demotion
-// and nothing a client, the sweeper or a disconnect reclaim does later
-// can run the registry ahead of the log; only an actual apply divergence
-// (seq gap after compaction) marks a member needs-install, which bars
-// it from candidacy until the primary's snapshot install rebases it.
+// it, and starts replicating. A deposed primary switches its registry
+// back to replica — under every shard lock, so each live mutation in
+// flight lands in the log under the old term before the switch or is
+// refused after it — so log and registry stay in lockstep across the
+// demotion; only an actual apply divergence (a seq that does not extend
+// its shard) marks a member needs-install, which bars it from candidacy
+// until the primary's snapshot install rebases it.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +102,7 @@
 
 #include "net/wire.hpp"
 #include "repl/config.hpp"
-#include "repl/log.hpp"
+#include "svc/registry.hpp"
 
 namespace elect::svc {
 class service;
@@ -177,12 +183,13 @@ struct peer_progress {
 
 class core {
  public:
-  /// Timer period a runner ticks at (drain cadence on a primary,
+  /// Timer period a runner ticks at (replication cadence on a primary,
   /// election-deadline resolution elsewhere).
   static constexpr std::uint64_t tick_ms = 10;
 
-  /// The service must outlive the core. Opens the drain cursor, takes
-  /// over the registry's commit watermark and holds the registry as a
+  /// The service must outlive the core. Opens the core's cursor on the
+  /// registry's log, takes over its commit index, files the registry's
+  /// current state as the first base, and holds the registry as a
   /// replica: every member boots as a follower with `vote` as its
   /// durable vote state.
   core(cluster_config config, svc::service& service, vote_record vote,
@@ -208,18 +215,28 @@ class core {
   /// When slot `k` may next have something due without another event.
   [[nodiscard]] std::uint64_t next_wake(std::size_t k,
                                         std::uint64_t now_ms) const;
-  /// The commit gate's drain: move fresh registry commands into the log
-  /// and commit what a quorum holds. No-op off the primary.
-  effects drain();
+  /// The live path appended to the log: wake the senders that have
+  /// entries to ship and commit what a quorum holds (a single member
+  /// commits right here). No-op off the primary.
+  effects replicate();
 
   [[nodiscard]] const cluster_config& config() const { return config_; }
   [[nodiscard]] role current_role() const noexcept { return role_; }
   [[nodiscard]] bool is_primary() const { return role_ == role::primary; }
   [[nodiscard]] std::uint64_t term() const noexcept { return term_; }
   [[nodiscard]] int leader() const noexcept { return leader_; }
-  [[nodiscard]] const replicated_log& log() const noexcept { return log_; }
-  [[nodiscard]] std::uint64_t commit_index() const { return commit_index_; }
-  [[nodiscard]] std::uint64_t applied_index() const { return applied_index_; }
+  /// The registry's command log, which this core replicates.
+  [[nodiscard]] const cmd::command_log& log() const noexcept { return log_; }
+  [[nodiscard]] std::uint64_t commit_index() const {
+    return log_.commit_index();
+  }
+  [[nodiscard]] std::uint64_t applied_index() const {
+    return log_.applied().first;
+  }
+  /// The index the adopted base snapshot covers (the compaction point).
+  [[nodiscard]] std::uint64_t base_index() const noexcept {
+    return base_.index;
+  }
   [[nodiscard]] bool needs_install() const noexcept { return needs_install_; }
   const std::vector<peer_progress>& peers() const { return peers_; }
   node_counters& counters() noexcept { return counters_; }
@@ -229,15 +246,14 @@ class core {
   effects start_election(std::uint64_t now_ms);
   effects become_primary();
   effects step_down(std::uint64_t new_term, std::uint64_t now_ms);
-  bool drain_log();
   bool advance_commit();
   void maybe_compact();
-  /// Apply log entries up to `bound` into the registry (seq-filtered).
-  /// `committed` advances the committed shard watermarks too; promotion
-  /// passes false for the inherited, not-yet-committed suffix.
-  void apply_through(std::uint64_t bound, bool committed);
-  /// Reset a diverged registry to this member's committed state; false
-  /// (needs_install_ set) when its own log does not replay.
+  /// Execute log entries up to `bound` into the registry; a seq that
+  /// does not extend its shard sets needs_install_.
+  void apply_through(std::uint64_t bound);
+  /// Rewind a diverged registry to the base and re-execute the log to
+  /// the commit index; false (needs_install_ set) when it does not
+  /// replay.
   bool rebuild();
   void reset_election_deadline(std::uint64_t now_ms);
   std::optional<outbound> build_snapshot(peer_progress& p,
@@ -250,7 +266,8 @@ class core {
                           std::uint64_t now_ms, std::string& reply);
 
   cluster_config config_;
-  svc::service& service_;
+  svc::instance_registry& registry_;
+  cmd::command_log& log_;
   vote_writer write_vote_;
 
   role role_ = role::follower;
@@ -260,16 +277,17 @@ class core {
   int votes_ = 0;
   /// Best-known leader (member index), -1 while unknown.
   int leader_ = -1;
-  replicated_log log_;
-  std::uint64_t commit_index_ = 0;
-  /// Follower apply watermark (== commit_index_ on a healthy member).
-  std::uint64_t applied_index_ = 0;
-  /// The registry cursor drain_log() reads: a command leaves the
-  /// registry's log only once it was shipped into log_.
-  std::uint64_t drain_ = 0;
-  /// Set on a deposed primary whose registry may exceed the committed
-  /// prefix: appends are refused with need_snapshot until the new
-  /// primary's snapshot install rebases the registry.
+  /// This core's cursor on the log: it sits at base_.index, so nothing
+  /// after the base leaves the log.
+  std::uint64_t cursor_ = 0;
+  /// The adopted base: committed state, an exact cut at base_.index.
+  svc::log_snapshot base_;
+  /// A cut waiting to be committed (and, on a primary, held by every
+  /// reachable follower) before it becomes the base.
+  std::optional<svc::log_snapshot> pending_;
+  /// Set on a member whose registry diverged from its log: appends are
+  /// refused with need_snapshot until the primary's snapshot install
+  /// rebases the registry.
   bool needs_install_ = false;
   std::uint64_t election_deadline_ms_ = 0;
   std::mt19937_64 rng_;

@@ -163,33 +163,26 @@ net::wire::response node::handle_peer(const net::wire::request& r) {
 
 // --- Commit gate --------------------------------------------------------
 
-bool node::wait_committed(const std::string& key) {
+bool node::wait_committed(const std::string& /*key*/) {
   const auto start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(mu_);
   if (stop_ || !core_.is_primary()) return false;
-  signal(core_.drain());
-  // The mutated shard's watermark (every shard's for an empty key) must
-  // reach the registry's commit watermark.
-  svc::instance_registry& registry = service_.registry();
-  const int only = key.empty() ? -1 : registry.shard_of(key);
-  std::vector<std::pair<int, std::uint64_t>> targets;
-  for (int s = 0; s < registry.shard_count(); ++s) {
-    if (only < 0 || s == only) {
-      targets.emplace_back(s, registry.shard_last_seq(s));
-    }
-  }
+  // The mutation is in the log already (the live path appends as it
+  // executes): everything through the log's end must commit, in this
+  // term — a member deposed and re-elected meanwhile may have lost it.
+  const std::uint64_t target = core_.log().last_index();
+  const std::uint64_t term = core_.term();
+  signal(core_.replicate());
   const auto reached = [&] {
-    for (const auto& [s, seq] : targets) {
-      if (registry.committed_seq(s) < seq) return false;
-    }
-    return true;
+    return core_.is_primary() && core_.term() == term &&
+           core_.commit_index() >= target;
   };
   const auto deadline =
       start + std::chrono::milliseconds(config().commit_wait_ms);
   (void)commit_cv_.wait_until(lock, deadline, [&] {
-    return stop_ || !core_.is_primary() || reached();
+    return stop_ || !core_.is_primary() || core_.term() != term || reached();
   });
-  const bool ok = !stop_ && core_.is_primary() && reached();
+  const bool ok = !stop_ && reached();
   if (!ok) ++core_.counters().commit_timeouts;
   commit_latency_.add(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -238,7 +231,7 @@ void node::sender_main(std::size_t k) {
 std::string node::status_json() const {
   const std::lock_guard<std::mutex> lock(mu_);
   const cluster_config& c = config();
-  const replicated_log& log = core_.log();
+  const cmd::command_log& log = core_.log();
   std::ostringstream out;
   const auto field = [&](const char* key, const auto& value) {
     out << "\"" << key << "\":" << value << ",";
@@ -259,7 +252,7 @@ std::string node::status_json() const {
   field("last_index", log.last_index());
   field("last_term", log.last_term());
   field("log_entries", log.size());
-  field("snapshot_index", log.snapshot_last_index());
+  field("snapshot_index", core_.base_index());
   field("needs_install", core_.needs_install() ? "true" : "false");
   out << "\"members\":[";
   for (std::size_t m = 0; m < c.members.size(); ++m) {

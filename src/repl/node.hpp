@@ -3,9 +3,10 @@
 //
 // The core (core.hpp) makes every protocol decision; the node only
 // waits and talks, under one mutex that serialises every core call:
-//   * a timer thread ticks the core every core::tick_ms (drain and
-//     commit on a primary, the election deadline elsewhere) and renders
-//     what committed outside the lock;
+//   * a timer thread ticks the core every core::tick_ms (replicate and
+//     compact on a primary, the election deadline elsewhere) and renders
+//     what committed outside the lock — on a follower too, whose
+//     watchers and journal see what it applied;
 //   * one sender thread and one blocking peer_channel per other member
 //     deliver whatever the core hands that peer — vote requests
 //     included, so a candidate asks every peer at once and a member that
@@ -15,8 +16,9 @@
 //     read them: it holds the node mutex briefly (a granted vote also
 //     writes the vote file) and never waits on another member;
 //   * wait_committed() is the commit gate the service calls before it
-//     acks a mutation: it drains through the core, then blocks on a
-//     condition variable until the mutated shard's watermark commits;
+//     acks a mutation: it samples the log's last index (the mutation
+//     is in the log already), wakes the senders through the core, then
+//     blocks on a condition variable until the commit index reaches it;
 //   * the durable vote is a small file under state_dir, written through
 //     the core's vote writer and read back at construction.
 // Lock order: the node mutex comes before any registry shard lock, and
@@ -43,9 +45,9 @@ namespace elect::repl {
 
 class node {
  public:
-  /// The service must outlive the node. The node opens its drain cursor
-  /// on the service's registry, takes over its commit watermark, and
-  /// holds the registry as a replica — every member boots as a
+  /// The service must outlive the node. The node opens its cursor on
+  /// the registry's log, takes over its commit index, and holds the
+  /// registry as a replica — every member boots as a
   /// follower, and only a promotion lets it originate mutations (lease
   /// expiry included). With a state_dir,
   /// a vote file that exists but cannot be read or parsed aborts
@@ -84,10 +86,11 @@ class node {
   [[nodiscard]] net::wire::response handle_peer(const net::wire::request& r);
 
   /// The commit-before-ack gate (service::set_commit_gate target):
-  /// drain the registry's fresh commands into the log, then block
-  /// until the mutated shard's watermark (every shard for an empty
-  /// key) is quorum-committed. False on timeout, step-down, or stop —
-  /// the service answers the client `connection_lost`.
+  /// block until the log's last index — sampled now, right after the
+  /// caller's mutation appended to it — is quorum-committed in the
+  /// current term. `key` is unused: one index orders every key. False
+  /// on timeout, step-down, a term change, or stop — the service
+  /// answers the client `connection_lost`.
   [[nodiscard]] bool wait_committed(const std::string& key);
 
   /// Cluster status as a JSON object (admin_cluster_status body, and

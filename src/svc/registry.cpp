@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <tuple>
 
 #include "cmd/snapshot.hpp"
 #include "common/check.hpp"
@@ -34,7 +35,7 @@ std::string_view to_string(transition t) {
 }
 
 void instance_registry::enable_command_log() {
-  if (history_.load() == 0) history_.store(open_cursor());
+  if (history_.load() == 0) history_.store(log_.open_cursor());
 }
 
 instance_registry::instance_registry(int shard_count,
@@ -172,34 +173,17 @@ void instance_registry::emit_locked(shard& s, key_state& state,
   execute_locked(s, state, c);
   // Nobody reading: no seq, no key copy, no log entry — the adaptive
   // fast path keeps its zero-allocation cost.
-  if (s.cursors.empty()) return;
-  c.seq = s.next_seq++;
+  if (!log_.recording()) return;
   c.shard = s.index;
   c.key = key;
-  advance_locked(s, c.seq);
-  s.log.push_back(std::move(c));
+  log_.append_live(std::move(c), s.last_seq);
 }
 
-void instance_registry::advance_locked(shard& s, std::uint64_t seq) {
-  s.last_seq = seq;
-  s.next_seq = std::max(s.next_seq, seq + 1);
-  if (!manual_commit_.load(std::memory_order_relaxed)) s.committed_seq = seq;
-}
-
-void instance_registry::trim_locked(shard& s) {
-  std::uint64_t read_by_all = ~0ull;
-  for (const auto& cursor : s.cursors) {
-    read_by_all = std::min(read_by_all, cursor.second);
-  }
-  while (!s.log.empty() && s.log.front().seq <= read_by_all) s.log.pop_front();
-}
-
-void instance_registry::rebase_locked(shard& s, std::uint64_t seq) {
-  s.log.clear();
-  s.next_seq = seq + 1;
-  s.last_seq = seq;
-  s.committed_seq = seq;
-  for (auto& cursor : s.cursors) cursor.second = seq;
+std::vector<std::unique_lock<std::mutex>> instance_registry::lock_all() const {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (const auto& shard_ptr : shards_) locks.emplace_back(shard_ptr->mutex);
+  return locks;
 }
 
 instance_entry instance_registry::current(const std::string& key) {
@@ -576,66 +560,6 @@ std::size_t instance_registry::sweep_expired(
       on_expired, cmd::command_kind::expired);
 }
 
-std::uint64_t instance_registry::open_cursor() {
-  const std::uint64_t id = next_cursor_.fetch_add(1);
-  for (auto& shard_ptr : shards_) {
-    const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    shard_ptr->cursors.emplace_back(id, shard_ptr->last_seq);
-  }
-  return id;
-}
-
-void instance_registry::close_cursor(std::uint64_t id) {
-  for (auto& shard_ptr : shards_) {
-    const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    std::erase_if(shard_ptr->cursors,
-                  [id](const auto& c) { return c.first == id; });
-    trim_locked(*shard_ptr);
-  }
-}
-
-void instance_registry::copy_locked(const shard& s, std::uint64_t after,
-                                    std::uint64_t through, std::size_t max,
-                                    std::vector<cmd::command>& out) {
-  // The log is in seq order: skip what was read with a binary search
-  // instead of rescanning it.
-  auto it = std::upper_bound(
-      s.log.begin(), s.log.end(), after,
-      [](std::uint64_t seq, const cmd::command& c) { return seq < c.seq; });
-  for (; it != s.log.end() && it->seq <= through && max-- > 0; ++it) {
-    out.push_back(*it);
-  }
-}
-
-void instance_registry::read_cursor(std::uint64_t id, int shard_index,
-                                    bool committed_only,
-                                    std::vector<cmd::command>& out) {
-  for (auto& shard_ptr : shards_) {
-    shard& s = *shard_ptr;
-    if (shard_index >= 0 && s.index != shard_index) continue;
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto cursor = std::find_if(
-        s.cursors.begin(), s.cursors.end(),
-        [id](const auto& c) { return c.first == id; });
-    ELECT_CHECK_MSG(cursor != s.cursors.end(), "read_cursor: unknown cursor");
-    const std::uint64_t through =
-        committed_only ? s.committed_seq : s.last_seq;
-    copy_locked(s, cursor->second, through, SIZE_MAX, out);
-    cursor->second = std::max(cursor->second, through);
-    trim_locked(s);
-  }
-}
-
-std::vector<cmd::command> instance_registry::read_log(int shard_index,
-                                                      std::uint64_t after,
-                                                      std::size_t max) const {
-  const shard& s = *shards_[static_cast<std::size_t>(shard_index)];
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  std::vector<cmd::command> out;
-  copy_locked(s, after, s.committed_seq, max, out);
-  return out;
-}
-
 std::uint64_t instance_registry::shard_last_seq(int shard_index) const {
   ELECT_CHECK(shard_index >= 0 &&
               shard_index < static_cast<int>(shards_.size()));
@@ -644,34 +568,24 @@ std::uint64_t instance_registry::shard_last_seq(int shard_index) const {
   return s.last_seq;
 }
 
-std::uint64_t instance_registry::committed_seq(int shard_index) const {
-  const shard& s = *shards_[static_cast<std::size_t>(shard_index)];
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  return s.committed_seq;
-}
-
-void instance_registry::commit_manually() {
-  manual_commit_.store(true, std::memory_order_relaxed);
-}
-
-void instance_registry::commit_through(int shard_index, std::uint64_t seq) {
-  shard& s = *shards_[static_cast<std::size_t>(shard_index)];
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  s.committed_seq = std::max(s.committed_seq, seq);
-}
-
-cmd::log_stats instance_registry::log_stats() const {
-  cmd::log_stats stats;
-  for (const auto& shard_ptr : shards_) {
-    const std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    stats.recording = stats.recording || !shard_ptr->cursors.empty();
-    stats.recorded += shard_ptr->next_seq - 1;
-    stats.retained += shard_ptr->log.size();
-  }
-  return stats;
-}
-
 std::optional<std::string> instance_registry::apply(const cmd::command& c) {
+  return apply_at(c, 0);
+}
+
+std::optional<std::string> instance_registry::apply_entry(std::uint64_t index) {
+  const std::optional<cmd::log_entry> e = log_.entry(index);
+  if (!e.has_value()) {
+    return "log entry " + std::to_string(index) + " is not held";
+  }
+  if (cmd::is_barrier(e->change)) {
+    log_.mark_applied(index);
+    return std::nullopt;
+  }
+  return apply_at(e->change, index);
+}
+
+std::optional<std::string> instance_registry::apply_at(const cmd::command& c,
+                                                       std::uint64_t index) {
   const int shard_index = shard_of(c.key);
   if (c.shard >= 0 && c.shard != shard_index) {
     return "command seq " + std::to_string(c.seq) + " was recorded for shard " +
@@ -735,7 +649,8 @@ std::optional<std::string> instance_registry::apply(const cmd::command& c) {
     // Replayed commands keep their recorded seq; advancing the watermark
     // (instead of re-appending) is what makes a post-replay snapshot
     // byte-identical to the recorder's.
-    if (c.seq != 0) advance_locked(s, c.seq);
+    if (c.seq != 0) s.last_seq = c.seq;
+    if (index != 0) log_.mark_applied(index);
     // Every kind but a grant or a renewal ends the epoch.
     if (c.kind != cmd::command_kind::acquire_granted &&
         c.kind != cmd::command_kind::renewed) {
@@ -754,48 +669,108 @@ std::optional<std::string> instance_registry::replay(
   return std::nullopt;
 }
 
-std::vector<std::uint8_t> instance_registry::snapshot(bool trim_log) {
-  const std::uint64_t history = trim_log ? history_.load() : 0;
+log_snapshot instance_registry::snapshot_cut(bool trim_log) {
   cmd::snapshot_data data;
   data.shards.resize(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shard& s = *shards_[i];
-    cmd::snapshot_shard& out = data.shards[i];
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    out.last_seq = s.last_seq;
-    out.last_at_ms = s.last_at_ms;
-    for (const auto& [key, state] : s.keys) {
-      // Epoch 0, unheld == the implicit default for a key nobody ever
-      // touched: indistinguishable from absent, so not state.
-      if (state.entry.epoch == 0 && state.leader == -1) continue;
-      cmd::snapshot_key k;
-      k.key = key;
-      k.epoch = state.entry.epoch;
-      k.leader = state.leader;
-      // Unheld modes normalize to open: an armed-but-never-claimed
-      // election emitted no command, so replay cannot know about it.
-      k.mode = state.leader == -1 ? cmd::grant_mode_open
-                                  : static_cast<std::uint8_t>(state.mode);
-      k.lease_rel_ms =
-          (state.leader == -1 ||
-           state.logical_deadline_ms == cmd::lease_forever)
-              ? cmd::lease_rel_none
-              : static_cast<std::int64_t>(state.logical_deadline_ms) -
-                    static_cast<std::int64_t>(s.last_at_ms);
-      out.keys.push_back(std::move(k));
+  log_snapshot cut;
+  {
+    const auto locks = lock_all();
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const shard& s = *shards_[i];
+      cmd::snapshot_shard& out = data.shards[i];
+      out.last_seq = s.last_seq;
+      out.last_at_ms = s.last_at_ms;
+      out.keys.reserve(s.keys.size());
+      for (const auto& [key, state] : s.keys) {
+        // Epoch 0, unheld == the implicit default for a key nobody ever
+        // touched: indistinguishable from absent, so not state.
+        if (state.entry.epoch == 0 && state.leader == -1) continue;
+        // Unheld modes normalize to open: an armed-but-never-claimed
+        // election emitted no command, so replay cannot know about it.
+        const bool held = state.leader != -1;
+        out.keys.push_back(
+            {.key = key,
+             .epoch = state.entry.epoch,
+             .leader = state.leader,
+             .mode = held ? static_cast<std::uint8_t>(state.mode)
+                          : cmd::grant_mode_open,
+             .lease_rel_ms =
+                 !held || state.logical_deadline_ms == cmd::lease_forever
+                     ? cmd::lease_rel_none
+                     : static_cast<std::int64_t>(state.logical_deadline_ms) -
+                           static_cast<std::int64_t>(s.last_at_ms)});
+      }
     }
+    // Under every shard lock no live mutation is half done, and a
+    // follower's apply marks its entry under the shard lock it executes
+    // under: the state is exactly the log through its applied index.
+    std::tie(cut.index, cut.term) = log_.applied();
+  }
+  if (trim_log && command_log_enabled()) {
+    log_.advance_cursor(history_cursor(), cut.index);
+  }
+  for (cmd::snapshot_shard& out : data.shards) {
     std::sort(out.keys.begin(), out.keys.end(),
               [](const cmd::snapshot_key& a, const cmd::snapshot_key& b) {
                 return a.key < b.key;
               });
-    // With trim_log the snapshot covers everything up to last_seq: the
-    // history has read it all. Entries another cursor still needs stay.
-    for (auto& [id, pos] : s.cursors) {
-      if (id == history) pos = s.last_seq;
-    }
-    trim_locked(s);
   }
-  return cmd::encode_snapshot(data);
+  cut.bytes = cmd::encode_snapshot(data);
+  return cut;
+}
+
+namespace {
+
+/// The snapshot's newest watermark: the stream's clock at the cut.
+std::uint64_t newest_at_ms(const cmd::snapshot_data& data) {
+  std::uint64_t logical = 0;
+  for (const cmd::snapshot_shard& in : data.shards) {
+    logical = std::max(logical, in.last_at_ms);
+  }
+  return logical;
+}
+
+}  // namespace
+
+std::optional<std::string> instance_registry::decode_checked(
+    const std::vector<std::uint8_t>& bytes, cmd::snapshot_data& out) const {
+  auto decoded = cmd::decode_snapshot(bytes);
+  if (!decoded.data.has_value()) return decoded.error;
+  out = std::move(*decoded.data);
+  if (out.shards.size() != shards_.size()) {
+    return "snapshot has " + std::to_string(out.shards.size()) +
+           " shards but this registry has " + std::to_string(shards_.size());
+  }
+  for (std::size_t i = 0; i < out.shards.size(); ++i) {
+    for (const cmd::snapshot_key& k : out.shards[i].keys) {
+      if (shard_of(k.key) != static_cast<int>(i)) {
+        return "snapshot key '" + k.key + "' does not map to shard " +
+               std::to_string(i) + " — corrupt snapshot or hash mismatch";
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+void instance_registry::load_locked(shard& s, const cmd::snapshot_shard& in) {
+  s.last_seq = in.last_seq;
+  s.last_at_ms = in.last_at_ms;
+  for (const cmd::snapshot_key& k : in.keys) {
+    key_state& state = state_locked(s, k.key);
+    state.entry.epoch = k.epoch;
+    state.leader = k.leader;
+    state.mode = static_cast<grant_mode>(k.mode);
+    if (k.leader == -1 || k.lease_rel_ms == cmd::lease_rel_none) {
+      state.logical_deadline_ms = cmd::lease_forever;
+    } else {
+      // The deadline on the stream's clock (possibly already past: due
+      // and unswept at snapshot time — the first sweep here expires it).
+      const std::int64_t deadline =
+          static_cast<std::int64_t>(in.last_at_ms) + k.lease_rel_ms;
+      state.logical_deadline_ms =
+          deadline < 0 ? 0 : static_cast<std::uint64_t>(deadline);
+    }
+  }
 }
 
 std::optional<std::string> instance_registry::restore(
@@ -804,13 +779,8 @@ std::optional<std::string> instance_registry::restore(
   if (fence_restored && fence_bump == 0) {
     return "fence_bump must be >= 1 when fencing restored epochs";
   }
-  auto decoded = cmd::decode_snapshot(bytes);
-  if (!decoded.data.has_value()) return decoded.error;
-  cmd::snapshot_data& data = *decoded.data;
-  if (data.shards.size() != shards_.size()) {
-    return "snapshot has " + std::to_string(data.shards.size()) +
-           " shards but this registry has " + std::to_string(shards_.size());
-  }
+  cmd::snapshot_data data;
+  if (auto error = decode_checked(bytes, data)) return error;
   if (key_count() != 0) {
     return "restore requires an empty registry";
   }
@@ -818,49 +788,25 @@ std::optional<std::string> instance_registry::restore(
   // registry's clock there re-anchors every remaining TTL to it (a lease
   // with 3 s left when its shard last moved expires at most 3 s after
   // the restore, never earlier than on the recorder).
-  std::uint64_t logical = 0;
-  for (const cmd::snapshot_shard& in : data.shards) {
-    logical = std::max(logical, in.last_at_ms);
-  }
+  const std::uint64_t logical = newest_at_ms(data);
   move_clock_to(logical);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard& s = *shards_[i];
-    const cmd::snapshot_shard& in = data.shards[i];
     const std::lock_guard<std::mutex> lock(s.mutex);
-    rebase_locked(s, in.last_seq);
-    s.last_at_ms = in.last_at_ms;
-    for (const cmd::snapshot_key& k : in.keys) {
-      if (shard_of(k.key) != static_cast<int>(i)) {
-        return "snapshot key '" + k.key + "' does not map to shard " +
-               std::to_string(i) + " — corrupt snapshot or hash mismatch";
-      }
-      key_state& state = state_locked(s, k.key);
-      state.entry.epoch = k.epoch;
-      state.leader = k.leader;
-      state.mode = static_cast<grant_mode>(k.mode);
-      if (k.leader == -1 || k.lease_rel_ms == cmd::lease_rel_none) {
-        state.logical_deadline_ms = cmd::lease_forever;
-      } else {
-        // The deadline on the stream's clock (possibly already past:
-        // due and unswept at snapshot time — the first sweep here
-        // expires it).
-        const std::int64_t deadline =
-            static_cast<std::int64_t>(in.last_at_ms) + k.lease_rel_ms;
-        state.logical_deadline_ms =
-            deadline < 0 ? 0 : static_cast<std::uint64_t>(deadline);
-      }
-      if (fence_restored) {
-        // Bump every restored key: a pre-snapshot leaseholder may have
-        // lost its lease in the gap the snapshot cannot see, so it must
-        // not be resurrected — its first fenced op answers stale_epoch
-        // and it re-acquires like everyone else. The bump ends epochs
-        // up to restored + (fence_bump - 1), jumping clear of grants
-        // the crash gap may have issued past the snapshot.
-        emit_locked(s, state, k.key,
-                    {.kind = cmd::command_kind::epoch_bumped, .session = -1,
-                     .epoch = state.entry.epoch + (fence_bump - 1),
-                     .at_ms = logical});
-      }
+    load_locked(s, data.shards[i]);
+    if (!fence_restored) continue;
+    for (const cmd::snapshot_key& k : data.shards[i].keys) {
+      // Bump every restored key: a pre-snapshot leaseholder may have
+      // lost its lease in the gap the snapshot cannot see, so it must
+      // not be resurrected — its first fenced op answers stale_epoch
+      // and it re-acquires like everyone else. The bump ends epochs up
+      // to restored + (fence_bump - 1), jumping clear of grants the
+      // crash gap may have issued past the snapshot.
+      key_state& state = s.keys.at(k.key);
+      emit_locked(s, state, k.key,
+                  {.kind = cmd::command_kind::epoch_bumped, .session = -1,
+                   .epoch = state.entry.epoch + (fence_bump - 1),
+                   .at_ms = logical});
     }
   }
   if (fence_restored) {
@@ -872,21 +818,29 @@ std::optional<std::string> instance_registry::restore(
 }
 
 std::optional<std::string> instance_registry::install_snapshot(
-    const std::vector<std::uint8_t>& bytes) {
+    const log_snapshot& cut, bool keep_log) {
   // The snapshot replaces local state wholesale: a diverged follower
   // (applied entries its new primary never committed) or a lagging one
   // (its primary compacted the suffix it was missing) converges by
   // adoption, not by reconciliation.
-  for (auto& shard_ptr : shards_) {
-    shard& s = *shard_ptr;
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    s.keys.clear();
-    rebase_locked(s, 0);
+  cmd::snapshot_data data;
+  if (auto error = decode_checked(cut.bytes, data)) return error;
+  {
+    const auto locks = lock_all();
+    move_clock_to(newest_at_ms(data));
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      shards_[i]->keys.clear();
+      load_locked(*shards_[i], data.shards[i]);
+    }
+    if (keep_log) {
+      log_.mark_applied(cut.index);
+    } else {
+      log_.rebase(cut.index, cut.term);
+    }
   }
-  const auto error = restore(bytes, /*fence_restored=*/false);
-  // Every waiter retries against the installed (or cleared) state.
+  // Every waiter retries against the installed state.
   wake_all();
-  return error;
+  return std::nullopt;
 }
 
 std::size_t instance_registry::fence_all(std::uint64_t bump) {
@@ -991,14 +945,13 @@ std::size_t instance_registry::parked_count() const {
   return total;
 }
 
-void instance_registry::set_replica(bool replica) {
-  // Every shard lock at once (in index order; nothing else holds two):
-  // a live mutation decides and executes under its shard's lock, so
-  // each one lands wholly before the switch or sees it.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard_ptr : shards_) locks.emplace_back(shard_ptr->mutex);
+void instance_registry::set_replica(bool replica, std::uint64_t term) {
+  // Every shard lock at once: a live mutation decides, executes and
+  // appends under its shard's lock, so each one lands wholly before the
+  // switch (at the old term) or sees it.
+  const auto locks = lock_all();
   replica_.store(replica, std::memory_order_relaxed);
+  if (!replica) log_.set_term(term);
 }
 
 void instance_registry::shutdown() {

@@ -41,16 +41,18 @@
 // observations (attempt counters, arm_protocol's mode latch) stay
 // outside the stream; snapshots exclude them.
 //
-// Each shard's command log is the one record of what it executed.
-// Everything downstream reads it through cursors — per-shard seq
-// positions that advance as they read: the replication drain, the
-// service's observer feed (watch events and journal records), and the
-// history behind record_commands, which snapshot(trim_log=true)
-// advances. The log records only while a cursor is open, and an entry
-// leaves it only once every open cursor has read it. A commit
-// watermark per shard bounds what observers may read: it follows the
-// last executed command on a standalone registry, and the replication
-// layer moves it on a cluster member (commit_manually()).
+// The command log (cmd::command_log, src/cmd/log.hpp) is the one record
+// of what the registry executed: one term-stamped log with one global
+// index. The live path appends each executed command to it, under the
+// key's shard lock, while any cursor is open — the service's observer
+// feed (watch events and journal records), the history behind
+// record_commands, and on a cluster member repl::core's compaction
+// point; with none open it records nothing. On a cluster member the
+// replication layer ships, truncates and compacts the same log in place
+// and executes a follower's committed entries from it (apply_entry);
+// observers read through its commit index. A snapshot taken under every
+// shard lock and then the log's lock is an exact cut: it covers the log
+// exactly through the index it is filed under (snapshot_cut).
 //
 // The clock. Commands are stamped with `at_ms`, milliseconds on the
 // registry's logical clock, and a lease deadline is a point on that
@@ -89,7 +91,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -101,6 +102,8 @@
 #include <vector>
 
 #include "cmd/command.hpp"
+#include "cmd/log.hpp"
+#include "cmd/snapshot.hpp"
 #include "election/vars.hpp"
 
 namespace elect::svc {
@@ -220,6 +223,15 @@ struct adaptive_attempt {
   /// claim was attempted: the caller goes down the protocol path.
   bool fast_attempted = false;
   fast_claim_result fast;
+};
+
+/// A registry snapshot and the log position it is an exact cut at: it
+/// covers entries [1, index] and nothing after; `term` is the term of
+/// entry `index`.
+struct log_snapshot {
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t index = 0;
+  std::uint64_t term = 0;
 };
 
 class instance_registry {
@@ -406,12 +418,13 @@ class instance_registry {
   /// Instance ids still allocatable before the fail-fast guard trips.
   [[nodiscard]] std::uint64_t remaining_instance_ids() const noexcept;
 
-  // --- The command log and its cursors (src/cmd/) ------------------------
+  // --- The command log (src/cmd/log.hpp) --------------------------------
 
   /// Open the history cursor behind record_commands: every later
-  /// mutation stays in the log until snapshot(trim_log=true) covers it.
-  /// Call before the registry sees concurrent traffic (the service does
-  /// at construction when configured); idempotent.
+  /// mutation stays in the log until a snapshot(trim_log=true) or a
+  /// cluster compaction covers it. Call before the registry sees
+  /// concurrent traffic (the service does at construction when
+  /// configured); idempotent.
   void enable_command_log();
 
   /// Is the history cursor open?
@@ -419,50 +432,19 @@ class instance_registry {
     return history_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Open a cursor positioned at every shard's last executed command:
-  /// it reads what executes from now on. While any cursor is open the
-  /// live mutation paths append to the log; with none open they build
-  /// no command payload at all. Returns the cursor id (never 0).
-  [[nodiscard]] std::uint64_t open_cursor();
+  [[nodiscard]] cmd::command_log& log() noexcept { return log_; }
+  [[nodiscard]] const cmd::command_log& log() const noexcept { return log_; }
 
-  /// Close a cursor. Whatever only it still needed leaves the log; with
-  /// no cursor left the log is empty and stops recording.
-  void close_cursor(std::uint64_t id);
+  /// The history cursor's id (0 while record_commands is off).
+  [[nodiscard]] std::uint64_t history_cursor() const noexcept {
+    return history_.load(std::memory_order_relaxed);
+  }
 
-  /// Append cursor `id`'s unread commands of `shard` (-1: of every
-  /// shard, shard by shard) to `out` in seq order — through the commit
-  /// watermark when `committed_only`, else through the last executed
-  /// command — move the cursor past them, and drop every entry all open
-  /// cursors have now read.
-  void read_cursor(std::uint64_t id, int shard, bool committed_only,
-                   std::vector<cmd::command>& out);
-
-  /// Up to `max` retained committed commands of `shard` with seq >
-  /// `after`, in seq order: a read from a caller-held position that
-  /// pins nothing (admin paging, replay tooling). Feed to replay().
-  [[nodiscard]] std::vector<cmd::command> read_log(int shard,
-                                                   std::uint64_t after,
-                                                   std::size_t max) const;
-
-  /// The shard's command-stream watermark: seq of the last command
-  /// executed there (live or replayed). The cluster primary samples it
-  /// right after a mutation to learn what the commit-before-ack gate
-  /// must wait for.
+  /// Seq of the last command executed in `shard` (live or replayed).
   [[nodiscard]] std::uint64_t shard_last_seq(int shard) const;
 
-  /// The shard's commit watermark: the seq observers may read through.
-  [[nodiscard]] std::uint64_t committed_seq(int shard) const;
-
-  /// Stop the commit watermark following shard_last_seq(): from now on
-  /// only commit_through() (and an installed snapshot) moves it. A
-  /// cluster member's repl::node calls this before serving.
-  void commit_manually();
-
-  /// Raise `shard`'s commit watermark to `seq` (never lowers it).
-  void commit_through(int shard, std::uint64_t seq);
-
   /// Command-log accounting (recorded lifetime vs retained in memory).
-  [[nodiscard]] cmd::log_stats log_stats() const;
+  [[nodiscard]] cmd::log_stats log_stats() const { return log_.stats(); }
 
   /// Execute one recorded command against this registry — the replay
   /// half of the funnel. Validates before executing: the key must map
@@ -475,6 +457,13 @@ class instance_registry {
   /// recorder's) — a replica's stream is the one it replays.
   [[nodiscard]] std::optional<std::string> apply(const cmd::command& c);
 
+  /// apply() for the log's own entry `index` (a follower executing what
+  /// committed): on success the log's applied index moves to `index`
+  /// under the same shard lock, so a snapshot never sees one without
+  /// the other. A barrier applies as a no-op; an entry the log no
+  /// longer holds is an error.
+  [[nodiscard]] std::optional<std::string> apply_entry(std::uint64_t index);
+
   /// Fold a command stream into this registry: apply() in order,
   /// stopping at the first error. Replaying a full stream into a fresh
   /// registry (or a post-snapshot suffix into a restore()d one)
@@ -485,11 +474,17 @@ class instance_registry {
 
   /// Serialize the replayable state (see src/cmd/snapshot.hpp for the
   /// format and the normalizations that make two equivalent registries
-  /// encode byte-identically). With `trim_log`, the history cursor
-  /// moves past every command this snapshot covers — the snapshot is
-  /// their compaction — so they leave the log once every other cursor
-  /// has read them too; an unshipped or unrendered command stays.
-  [[nodiscard]] std::vector<std::uint8_t> snapshot(bool trim_log = false);
+  /// encode byte-identically) as one cut: under every shard lock (in
+  /// index order) and then the log's lock, so it covers the log exactly
+  /// through its applied index. Key state is copied under the locks and
+  /// sorted and encoded after they are released. With `trim_log` the
+  /// history cursor moves to the cut — the snapshot is the compaction of
+  /// everything before it — so those entries leave the log once every
+  /// other cursor has passed them too.
+  [[nodiscard]] log_snapshot snapshot_cut(bool trim_log = false);
+  [[nodiscard]] std::vector<std::uint8_t> snapshot(bool trim_log = false) {
+    return snapshot_cut(trim_log).bytes;
+  }
 
   /// Load a snapshot into this (required: empty) registry. The clock
   /// moves to the snapshot's newest watermark (see the file comment),
@@ -508,27 +503,28 @@ class instance_registry {
   /// jump (elect_server defaults to 2^20) clears every epoch the crash
   /// gap could plausibly have granted; the chaos checker's
   /// unique-holder rule is what verifies the assumption. Returns an
-  /// error on a malformed snapshot or a shard-count mismatch; the
-  /// registry must be discarded if restore fails partway.
+  /// error (nothing changed) on a malformed snapshot, a shard-count
+  /// mismatch or a non-empty registry.
   [[nodiscard]] std::optional<std::string> restore(
       const std::vector<std::uint8_t>& bytes, bool fence_restored,
       std::uint64_t fence_bump = 1);
 
-  /// restore() for a registry that already holds state: drop every key,
-  /// log entry, and watermark, then load `bytes` without fencing. The
-  /// replication layer installs a primary's snapshot on a lagging or
-  /// diverged follower with it — the snapshot IS the authoritative,
-  /// committed state, so nothing local survives (every parked waiter is
-  /// woken and retries against the installed state; every cursor and
-  /// the commit watermark restart at the snapshot). Same error
-  /// conditions as restore(); on error the registry is left cleared,
-  /// not torn.
+  /// Replace every key's state with `cut` without fencing — a cluster
+  /// member adopting committed state. By default the log restarts at the
+  /// cut (rebase: no entries; applied, committed and every cursor at
+  /// cut.index): a follower installing its primary's snapshot. With
+  /// `keep_log` the log is left as it is and only its applied index
+  /// moves back to the cut: a member rewinding to its own compacted base
+  /// to re-execute its committed entries. Every parked waiter is woken
+  /// and retries against the installed state. Same errors as restore();
+  /// on error nothing changes.
   [[nodiscard]] std::optional<std::string> install_snapshot(
-      const std::vector<std::uint8_t>& bytes);
+      const log_snapshot& cut, bool keep_log = false);
 
   /// Switch the replica rule (see the file comment) on or off. Takes
-  /// every shard lock, so no live mutation straddles the switch.
-  void set_replica(bool replica);
+  /// every shard lock, so no live mutation straddles the switch; turning
+  /// it off (a promotion) also sets the term live appends carry.
+  void set_replica(bool replica, std::uint64_t term = 0);
   [[nodiscard]] bool replica() const noexcept {
     return replica_.load(std::memory_order_relaxed);
   }
@@ -590,17 +586,10 @@ class instance_registry {
                                              std::function<void()>>>>
         waiters;
     std::uint64_t next_waiter = 1;
-    /// The command log (appended only while a cursor is open, in seq
-    /// order), the open cursors' positions here as (id, seq read
-    /// through), and the shard's watermarks: seq/logical-time of the
-    /// last command executed here, live or replayed, and the seq
-    /// observers may read through. All guarded by `mutex`.
-    std::deque<cmd::command> log;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> cursors;
-    std::uint64_t next_seq = 1;
+    /// Seq and logical time of the last command executed here, live or
+    /// replayed (the snapshot's per-shard watermark).
     std::uint64_t last_seq = 0;
     std::uint64_t last_at_ms = 0;
-    std::uint64_t committed_seq = 0;
     std::int32_t index = 0;
   };
 
@@ -636,23 +625,22 @@ class instance_registry {
   /// by the live path (emit_locked) and replay (apply). Caller holds
   /// the shard lock and wakes waiters after unlocking.
   void execute_locked(shard& s, key_state& state, const cmd::command& c);
-  /// The live path: execute `c`, then — while a cursor is open — give
-  /// it the shard's next seq and append it (with `key`) to the log.
+  /// The live path: execute `c`, then — while a cursor is open — append
+  /// it (with `key`) to the log, which gives it the shard's next seq.
   void emit_locked(shard& s, key_state& state, const std::string& key,
                    cmd::command c);
-  /// Append the retained commands of `s` with seq in (after, through]
-  /// to `out`, at most `max` of them (shard lock held).
-  static void copy_locked(const shard& s, std::uint64_t after,
-                          std::uint64_t through, std::size_t max,
-                          std::vector<cmd::command>& out);
-  /// Move the shard's watermark to `seq` — and, unless committing by
-  /// hand, its commit watermark with it (shard lock held).
-  void advance_locked(shard& s, std::uint64_t seq);
-  /// Drop the log prefix every open cursor has read (shard lock held).
-  static void trim_locked(shard& s);
-  /// Restart `s` at watermark `seq` with an empty log, every cursor and
-  /// the commit watermark at `seq` (snapshot install / restore).
-  static void rebase_locked(shard& s, std::uint64_t seq);
+  /// apply() and apply_entry(): validate `c`, execute it, and when
+  /// `index` is nonzero mark that log entry applied.
+  [[nodiscard]] std::optional<std::string> apply_at(const cmd::command& c,
+                                                    std::uint64_t index);
+  /// Every shard lock, taken in index order (nothing else holds two).
+  [[nodiscard]] std::vector<std::unique_lock<std::mutex>> lock_all() const;
+  /// Decode `bytes` and check they fit this registry (shard count, every
+  /// key in its shard).
+  [[nodiscard]] std::optional<std::string> decode_checked(
+      const std::vector<std::uint8_t>& bytes, cmd::snapshot_data& out) const;
+  /// Load one decoded shard into `s` (shard lock held).
+  void load_locked(shard& s, const cmd::snapshot_shard& in);
   /// Shared body of the single-key epoch-enders: end `key`'s current
   /// epoch with a `kind` command unless `refuse(state)` (under the shard
   /// lock; nullptr for a never-acquired key) returns a refusal.
@@ -683,10 +671,9 @@ class instance_registry {
   std::vector<std::unique_ptr<shard>> shards_;
   std::atomic<std::uint64_t> next_instance_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> next_cursor_{1};
+  cmd::command_log log_;
   /// The history cursor's id (0 = record_commands off).
   std::atomic<std::uint64_t> history_{0};
-  std::atomic<bool> manual_commit_{false};
   /// See set_replica(); written under every shard lock.
   std::atomic<bool> replica_{false};
   /// Origin of the logical clock (steady time_since_epoch ticks).

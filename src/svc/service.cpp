@@ -208,6 +208,10 @@ void service::stop() {
 }
 
 std::uint64_t service::watch(const std::string& key, watch_hub::callback fn) {
+  // Render what already committed first: a new watch sees transitions
+  // that commit after it subscribed, not the feed's backlog (on a newly
+  // promoted primary, the suffix it inherited).
+  publish_committed();
   const std::uint64_t id = hub_.add(key, std::move(fn));
   if (id != 0) count_feed_readers(+1);
   return id;
@@ -218,24 +222,24 @@ void service::unwatch(std::uint64_t id) {
 }
 
 // ---------------------------------------------------------------------
-// The observer feed: one registry cursor, read through the commit
-// watermark, rendered into watch events and journal records.
+// The observer feed: one cursor on the registry's log, read through the
+// commit index, rendered into watch events and journal records.
 
 void service::count_feed_readers(int delta) {
   const std::lock_guard<std::mutex> lock(feed_mutex_);
   feed_readers_ += delta;
-  if (feed_readers_ != 0 && feed_ == 0) feed_ = registry_.open_cursor();
+  if (feed_readers_ != 0 && feed_ == 0) feed_ = registry_.log().open_cursor();
   if (feed_readers_ == 0 && feed_ != 0) {
-    registry_.close_cursor(std::exchange(feed_, 0));
+    registry_.log().close_cursor(std::exchange(feed_, 0));
   }
   feed_open_.store(feed_ != 0, std::memory_order_relaxed);
 }
 
-void service::publish_committed(int shard) {
+void service::publish_committed() {
   if (!feed_open_.load(std::memory_order_relaxed)) return;
   const std::lock_guard<std::mutex> lock(feed_mutex_);
   if (feed_ == 0) return;
-  registry_.read_cursor(feed_, shard, /*committed_only=*/true, feed_batch_);
+  registry_.log().read_cursor(feed_, feed_batch_);
   for (const cmd::command& c : feed_batch_) render_command(c);
   feed_batch_.clear();
 }
@@ -358,7 +362,7 @@ acquire_result service::gate_acquire(acquire_result result,
     result.rejected = true;
     result.connection_lost = true;
   }
-  publish_committed(registry_.shard_of(key));
+  publish_committed();
   return result;
 }
 
@@ -366,15 +370,8 @@ lease_status service::gate_lease_op(const std::string& key,
                                     lease_status status) {
   if (status != lease_status::ok) return status;
   const bool committed = !commit_gate_ || commit_gate_(key);
-  publish_committed(registry_.shard_of(key));
-  return committed ? status : lease_status::connection_lost;
-}
-
-std::size_t service::gate_multi_release(std::size_t count) {
-  if (count == 0) return count;
-  if (commit_gate_) commit_gate_(std::string());
   publish_committed();
-  return count;
+  return committed ? status : lease_status::connection_lost;
 }
 
 // ---------------------------------------------------------------------
@@ -723,8 +720,10 @@ lease_status service::session::renew(const std::string& key,
 }
 
 std::size_t service::session::disconnect() {
-  return owner_->gate_multi_release(owner_->registry_.release_all(
-      id_, [this](int shard) { owner_->metrics_.record_release(shard); }));
+  const std::size_t released = owner_->registry_.release_all(
+      id_, [this](int shard) { owner_->metrics_.record_release(shard); });
+  owner_->publish_committed();
+  return released;
 }
 
 lease_status service::session::reclaim(const std::string& key,
@@ -737,8 +736,10 @@ lease_status service::session::reclaim(const std::string& key,
 }
 
 std::size_t service::session::reclaim_all() {
-  return owner_->gate_multi_release(owner_->registry_.reclaim_all(
-      id_, [this](int shard) { owner_->metrics_.record_release(shard); }));
+  const std::size_t reclaimed = owner_->registry_.reclaim_all(
+      id_, [this](int shard) { owner_->metrics_.record_release(shard); });
+  owner_->publish_committed();
+  return reclaimed;
 }
 
 std::vector<std::string> service::session::held_keys() const {

@@ -122,9 +122,9 @@ struct service_config {
   std::string journal_path;
   /// In-memory journal ring capacity (and the sink's backlog bound).
   std::size_t journal_capacity = 4096;
-  /// Keep every registry mutation in the per-shard command log
-  /// (src/cmd/) until a snapshot(trim_log=true) covers it: the
-  /// replayable history behind registry().snapshot() and the
+  /// Keep every registry mutation in the command log (src/cmd/log.hpp)
+  /// until a snapshot(trim_log=true) or a cluster compaction covers it:
+  /// the replayable history behind registry().snapshot() and the
   /// admin_commands pages (it opens the registry's history cursor). Off
   /// by default — recording copies each command (key string included)
   /// into the log, which the adaptive fast path otherwise never pays
@@ -306,10 +306,12 @@ class service {
   /// service stopped.
   /// Delivery semantics per svc/watch.hpp: asynchronous on the hub's
   /// notifier thread, per-key seq order, no cross-key ordering; only
-  /// committed transitions are delivered (in cluster mode a grant shows
-  /// once a quorum holds it, never one its acquirer was refused); a
-  /// transition is observable within the lease TTL + sweep interval of
-  /// the holder misbehaving (expiry is what bounds a silent crash).
+  /// committed transitions are delivered, from those that commit after
+  /// the subscription on (in cluster mode a grant shows once a quorum
+  /// holds it, never one its acquirer was refused, and a follower's
+  /// watchers see what it applied); a transition is observable within
+  /// the lease TTL + sweep interval of the holder misbehaving (expiry is
+  /// what bounds a silent crash).
   [[nodiscard]] std::uint64_t watch(const std::string& key,
                                     watch_hub::callback fn);
 
@@ -317,13 +319,13 @@ class service {
   void unwatch(std::uint64_t id);
 
   /// Render every committed command the observer feed has not rendered
-  /// yet (on `shard`, or on every shard for -1) into watch events and
-  /// journal records. The service calls it after each of its own
-  /// mutations; the replication layer calls it after commits move
-  /// without a client waiting on them (expiries, a promotion's fence),
-  /// and an embedder after mutating the registry directly (a restore's
-  /// fence). A no-op while nobody watches and the journal is off.
-  void publish_committed(int shard = -1);
+  /// yet into watch events and journal records. The service calls it
+  /// after each of its own mutations; the replication layer calls it
+  /// after commits move without a client waiting on them (expiries, a
+  /// promotion's fence, a follower's applied entries), and an embedder
+  /// after mutating the registry directly (a restore's fence). A no-op
+  /// while nobody watches and the journal is off.
+  void publish_committed();
 
   /// Snapshot of service + pool metrics (per-shard counters, latency
   /// quantiles, messages per acquire, communicate-call complexity).
@@ -336,14 +338,18 @@ class service {
   [[nodiscard]] obs::journal* journal() noexcept { return journal_.get(); }
 
   /// Install the replication commit gate (cluster mode). After every
-  /// locally applied mutation the gate is called with the key the op
-  /// touched (empty key = the op may have spanned every shard) and must
-  /// return true once the mutation is quorum-committed. A false return
-  /// converts the op's ack into `connection_lost`: a primary that lost
-  /// its quorum must not confirm grants *or renewals* — that refusal is
-  /// what demotes a zombie's clients before a fenced successor can
-  /// double-grant. Install before serving traffic; swapping the gate is
-  /// not synchronized against in-flight calls.
+  /// locally applied single-key mutation (an acquire's grant, release,
+  /// renew, reclaim, force-release) the gate is called with the key the
+  /// op touched and must return true once the mutation is
+  /// quorum-committed. A false return converts the op's ack into
+  /// `connection_lost`: a primary that lost its quorum must not confirm
+  /// grants *or renewals* — that refusal is what demotes a zombie's
+  /// clients before a fenced successor can double-grant. The multi-key
+  /// enders (disconnect, reclaim_all) do not wait on it: their leases
+  /// ended here whatever the gate says, and a later ack on any of those
+  /// keys waits for its own, later entry. Install before serving
+  /// traffic; swapping the gate is not synchronized against in-flight
+  /// calls.
   ///
   /// A cluster member that is not primary holds its registry as a
   /// replica (instance_registry::set_replica): every live mutation —
@@ -461,11 +467,6 @@ class service {
   /// `connection_lost`.
   [[nodiscard]] lease_status gate_lease_op(const std::string& key,
                                            lease_status status);
-  /// Multi-key variant (disconnect / reclaim_all): the gate is awaited
-  /// for command ordering, but the local count is returned regardless —
-  /// the leases already ended here, and if the commit fails this node is
-  /// being deposed anyway.
-  std::size_t gate_multi_release(std::size_t count);
   void prune_participated(worker& w);
   void sweeper_main();
   /// Render one command the feed read into the watch hub and (when
@@ -513,9 +514,9 @@ class service {
   /// where every mutation is trivially durable the moment it applies.
   std::function<bool(const std::string&)> commit_gate_;
 
-  /// The observer feed: a registry cursor read through the commit
-  /// watermark. `feed_mutex_` serializes reading and rendering, so each
-  /// key's events come out in seq order; `feed_open_` is the lock-free
+  /// The observer feed: a cursor on the registry's log, read through
+  /// its commit index. `feed_mutex_` serializes reading and rendering,
+  /// so each key's events come out in log order; `feed_open_` is the lock-free
   /// "anyone listening?" check publish_committed starts with.
   std::mutex feed_mutex_;
   std::uint64_t feed_ = 0;

@@ -1,8 +1,10 @@
 // Command-log and snapshot tests: the golden determinism contract
 // (record a churn, replay the log into a fresh registry, get
-// byte-identical snapshots), the log's cursors (a trim keeps what an
-// open cursor has not read, committed reads stop at the watermark, a
-// registry nobody reads records nothing), wall-clock-independent lease restore,
+// byte-identical snapshots; a snapshot cut mid-churn plus the log after
+// its index does too), the log's cursors (a trim keeps what an open
+// cursor has not read, committed reads stop at the commit index and skip
+// the promotion barrier, a registry nobody reads records nothing),
+// wall-clock-independent lease restore,
 // restore-time fencing, live-vs-replay parity across the strategy ×
 // backend matrix, and adversarial streams/snapshots (truncation, seq
 // gaps, corrupt headers) failing with clean errors.
@@ -11,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,6 +22,7 @@
 
 #include "api/client.hpp"
 #include "cmd/command.hpp"
+#include "cmd/log.hpp"
 #include "cmd/snapshot.hpp"
 #include "net/server.hpp"
 #include "svc/registry.hpp"
@@ -50,33 +54,26 @@ std::optional<std::uint64_t> acquire_via_registry(svc::instance_registry& reg,
   return std::nullopt;
 }
 
-/// Every retained command, shard by shard (each shard's slice in seq
-/// order; cross-shard interleaving is unobservable — keys never
-/// migrate): what replay() takes.
-std::vector<cmd::command> retained_commands(const svc::instance_registry& reg) {
+/// Every retained committed command after log index `after`, in log
+/// order: what replay() takes.
+std::vector<cmd::command> retained_commands(const svc::instance_registry& reg,
+                                            std::uint64_t after = 0) {
   std::vector<cmd::command> out;
-  for (int s = 0; s < reg.shard_count(); ++s) {
-    const auto slice = reg.read_log(s, 0, SIZE_MAX);
-    out.insert(out.end(), slice.begin(), slice.end());
+  for (auto& [index, c] : reg.log().read(after, SIZE_MAX)) {
+    out.push_back(std::move(c));
   }
   return out;
 }
 
-// ---------------------------------------------------------------------
-// Golden determinism: live churn -> log -> replay -> identical bytes.
-
-TEST(CmdGolden, ConcurrentRegistryChurnReplaysByteIdentical) {
-  constexpr int shard_count = 4;
-  constexpr int threads = 6;
-  constexpr int iterations = 40;
-  svc::instance_registry reg(shard_count);
-  reg.enable_command_log();
-  ASSERT_TRUE(reg.command_log_enabled());
-
+/// The registry churn: `threads` sessions acquire five keys in turn,
+/// renewing every third win and releasing each; `meanwhile` runs on the
+/// calling thread while they do.
+void churn(svc::instance_registry& reg, int threads, int iterations,
+           const std::function<void()>& meanwhile = {}) {
   const std::vector<std::string> keys = {"locks/a", "locks/b", "locks/c",
                                          "locks/d", "locks/e"};
   std::vector<std::thread> workers;
-  workers.reserve(threads);
+  workers.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < iterations; ++i) {
@@ -89,7 +86,21 @@ TEST(CmdGolden, ConcurrentRegistryChurnReplaysByteIdentical) {
       }
     });
   }
+  if (meanwhile) meanwhile();
   for (auto& w : workers) w.join();
+}
+
+// ---------------------------------------------------------------------
+// Golden determinism: live churn -> log -> replay -> identical bytes.
+
+TEST(CmdGolden, ConcurrentRegistryChurnReplaysByteIdentical) {
+  constexpr int shard_count = 4;
+  constexpr int threads = 6;
+  constexpr int iterations = 40;
+  svc::instance_registry reg(shard_count);
+  reg.enable_command_log();
+  ASSERT_TRUE(reg.command_log_enabled());
+  churn(reg, threads, iterations);
 
   // Exercise the remaining command kinds: an admin force-release, an
   // expiry sweep, and a disconnect reclaim all land in the same stream.
@@ -151,56 +162,77 @@ TEST(CmdGolden, ServiceChurnReplaysByteIdentical) {
   EXPECT_EQ(service.registry().snapshot(), fresh.snapshot());
 }
 
+// A snapshot is an exact cut: taken while six threads churn, the cut
+// restored and the log entries after its index replayed give the live
+// registry's bytes — nothing the cut holds replays twice, nothing it
+// lacks is missing from the log.
+TEST(CmdGolden, ExactCutPlusLaterEntriesReplaysByteIdenticalUnderChurn) {
+  constexpr int shard_count = 4;
+  svc::instance_registry reg(shard_count);
+  reg.enable_command_log();
+  std::vector<svc::log_snapshot> cuts;
+  churn(reg, 6, 200, [&] {
+    for (int i = 0; i < 20; ++i) {
+      cuts.push_back(reg.snapshot_cut());
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  const std::vector<std::uint8_t> live = reg.snapshot();
+  ASSERT_GT(reg.log().last_index(), cuts.front().index);
+  for (const svc::log_snapshot& cut : cuts) {
+    svc::instance_registry fresh(shard_count);
+    ASSERT_FALSE(fresh.restore(cut.bytes, /*fence_restored=*/false).has_value());
+    const auto error = fresh.replay(retained_commands(reg, cut.index));
+    ASSERT_FALSE(error.has_value()) << "cut at " << cut.index << ": " << *error;
+    EXPECT_EQ(fresh.snapshot(), live) << "cut at " << cut.index;
+  }
+}
+
 TEST(CmdGolden, TrimmedLogIsCompactedNotLost) {
   svc::instance_registry reg(2);
   reg.enable_command_log();
   ASSERT_TRUE(acquire_via_registry(reg, "trim/a", 1, 0s).has_value());
-  const std::vector<std::uint8_t> snap = reg.snapshot(/*trim_log=*/true);
+  const svc::log_snapshot cut = reg.snapshot_cut(/*trim_log=*/true);
+  EXPECT_EQ(cut.index, 1u);
   EXPECT_EQ(reg.log_stats().retained, 0u);
-  EXPECT_GT(reg.log_stats().recorded, 0u);
+  EXPECT_EQ(reg.log_stats().recorded, 1u);
 
-  // Post-trim commands extend a restore()d registry: snapshot + suffix
-  // log reconstructs the same state the recorder reaches.
+  // Later commands extend a restore()d registry: the cut plus the log
+  // after its index reconstructs exactly the state the recorder reaches.
   const auto epoch_b = acquire_via_registry(reg, "trim/b", 2, 0s);
   ASSERT_TRUE(epoch_b.has_value());
   const std::vector<cmd::command> suffix = retained_commands(reg);
   EXPECT_EQ(suffix.size(), 1u);
+  EXPECT_EQ(reg.log().first_index(), cut.index + 1);
 
   svc::instance_registry fresh(2);
-  ASSERT_FALSE(fresh.restore(snap, /*fence_restored=*/false).has_value());
+  ASSERT_FALSE(fresh.restore(cut.bytes, /*fence_restored=*/false).has_value());
   const auto error = fresh.replay(suffix);
   ASSERT_FALSE(error.has_value()) << *error;
-  // Semantic equality, not byte equality: restore re-anchors the shard
-  // watermarks to the restoring registry's clock (that is the point —
-  // remaining TTLs survive), so only pure replay is byte-stable.
-  for (const char* key : {"trim/a", "trim/b"}) {
-    const auto live = reg.inspect(key);
-    const auto twin = fresh.inspect(key);
-    ASSERT_TRUE(live.has_value() && twin.has_value()) << key;
-    EXPECT_EQ(twin->entry.epoch, live->entry.epoch) << key;
-    EXPECT_EQ(twin->leader, live->leader) << key;
-  }
+  EXPECT_EQ(fresh.snapshot(), reg.snapshot());
 }
 
 // ---------------------------------------------------------------------
-// Cursors: one log, every reader at its own position.
+// Cursors: one log, every reader at its own index.
 
 TEST(CmdCursor, TrimKeepsWhatAnOpenCursorHasNotRead) {
   svc::instance_registry reg(1);
   reg.enable_command_log();
-  const std::uint64_t drain = reg.open_cursor();
+  cmd::command_log& log = reg.log();
+  const std::uint64_t feed = log.open_cursor();
   ASSERT_TRUE(acquire_via_registry(reg, "k", 1, 0s).has_value());
   std::vector<cmd::command> read;
-  reg.read_cursor(drain, 0, /*committed_only=*/false, read);
+  log.read_cursor(feed, read);
   ASSERT_EQ(read.size(), 1u);
   ASSERT_EQ(reg.release("k", 1), svc::lease_status::ok);
 
   // The snapshot moves the history past both commands; the release is
   // still unread by the other cursor, so it stays.
-  (void)reg.snapshot(/*trim_log=*/true);
+  EXPECT_EQ(reg.snapshot_cut(/*trim_log=*/true).index, 2u);
   EXPECT_EQ(reg.log_stats().retained, 1u);
+  EXPECT_EQ(log.first_index(), 2u);
   read.clear();
-  reg.read_cursor(drain, 0, /*committed_only=*/false, read);
+  log.read_cursor(feed, read);
   ASSERT_EQ(read.size(), 1u);
   EXPECT_EQ(read[0].seq, 2u);
   EXPECT_EQ(read[0].kind, cmd::command_kind::released);
@@ -208,33 +240,43 @@ TEST(CmdCursor, TrimKeepsWhatAnOpenCursorHasNotRead) {
 
   // A cursor reads each command once.
   read.clear();
-  reg.read_cursor(drain, 0, /*committed_only=*/false, read);
+  log.read_cursor(feed, read);
   EXPECT_TRUE(read.empty());
-  reg.close_cursor(drain);
+  log.close_cursor(feed);
 }
 
-TEST(CmdCursor, CommittedReadsStopAtTheWatermark) {
+TEST(CmdCursor, CommittedReadsStopAtTheCommitIndexAndSkipBarriers) {
   svc::instance_registry reg(1);
-  reg.commit_manually();
-  const std::uint64_t feed = reg.open_cursor();
+  cmd::command_log& log = reg.log();
+  log.commit_manually();
+  const std::uint64_t feed = log.open_cursor();
   const auto epoch = acquire_via_registry(reg, "k", 1, 0s);
   ASSERT_TRUE(epoch.has_value());
   ASSERT_EQ(reg.release("k", 1, *epoch), svc::lease_status::ok);
+  ASSERT_EQ(log.last_index(), 2u);
 
   std::vector<cmd::command> read;
-  reg.read_cursor(feed, 0, /*committed_only=*/true, read);
+  log.read_cursor(feed, read);
   EXPECT_TRUE(read.empty());
-  EXPECT_TRUE(reg.read_log(0, 0, SIZE_MAX).empty());
-  reg.commit_through(0, 1);
-  reg.read_cursor(feed, 0, /*committed_only=*/true, read);
+  EXPECT_TRUE(log.read(0, SIZE_MAX).empty());
+  log.commit_to(1);
+  log.read_cursor(feed, read);
   ASSERT_EQ(read.size(), 1u);
   EXPECT_EQ(read[0].kind, cmd::command_kind::acquire_granted);
-  reg.commit_through(0, 2);
-  reg.read_cursor(feed, 0, /*committed_only=*/true, read);
+  log.commit_to(2);
+  log.read_cursor(feed, read);
   ASSERT_EQ(read.size(), 2u);
   EXPECT_EQ(read[1].kind, cmd::command_kind::released);
 
-  reg.close_cursor(feed);
+  // A promotion barrier takes an index but is no command: every reader
+  // skips it.
+  log.append({.term = 1, .change = {}});
+  log.commit_to(3);
+  EXPECT_TRUE(log.read(2, SIZE_MAX).empty());
+  log.read_cursor(feed, read);
+  EXPECT_EQ(read.size(), 2u);
+
+  log.close_cursor(feed);
   EXPECT_FALSE(reg.log_stats().recording);
   EXPECT_EQ(reg.log_stats().retained, 0u);
 }

@@ -571,10 +571,10 @@ TEST(NetAdmin, ListIsAPrefixOfWholeObjectsUnderTheFrameCap) {
   }
 }
 
-// admin_commands pages resume from a log position, not from an offset
-// into a fresh copy of the log: commands appended between pages shift
-// nothing, so one pass returns every command exactly once — and a new
-// command past the position shows up too.
+// admin_commands pages resume from a log index, not from an offset into
+// a fresh copy of the log: commands appended between pages shift
+// nothing, so one pass returns every command exactly once — the ones
+// appended mid-pass included.
 TEST(NetAdmin, CommandPagesNeitherRepeatNorSkipWhileTheLogGrows) {
   svc::service_config service_config;
   service_config.nodes = 4;
@@ -594,22 +594,7 @@ TEST(NetAdmin, CommandPagesNeitherRepeatNorSkipWhileTheLogGrows) {
     }
   };
   for (int i = 0; i < 6000; ++i) churn("page/" + std::to_string(i % 200), 1);
-  std::set<std::pair<int, std::uint64_t>> before;
-  for (int s = 0; s < registry.shard_count(); ++s) {
-    for (const cmd::command& c : registry.read_log(s, 0, SIZE_MAX)) {
-      before.emplace(c.shard, c.seq);
-    }
-  }
-  ASSERT_EQ(before.size(), 12000u);
-  std::string first_shard_key;
-  std::string last_shard_key;
-  for (int i = 0; first_shard_key.empty() || last_shard_key.empty(); ++i) {
-    const std::string key = "grow/" + std::to_string(i);
-    if (registry.shard_of(key) == 0) first_shard_key = key;
-    if (registry.shard_of(key) == registry.shard_count() - 1) {
-      last_shard_key = key;
-    }
-  }
+  ASSERT_EQ(registry.log().read(0, SIZE_MAX).size(), 12000u);
 
   const auto client = stack.connect();
   std::set<std::pair<int, std::uint64_t>> seen;
@@ -626,26 +611,24 @@ TEST(NetAdmin, CommandPagesNeitherRepeatNorSkipWhileTheLogGrows) {
       EXPECT_TRUE(seen.insert(at).second)
           << "shard " << at.first << " seq " << at.second << " repeated";
     }
+    // The next page resumes after the index of this page's last command.
+    EXPECT_EQ(page->epoch, position + positions.size());
     position = page->epoch;
     if (++pages == 1) {
-      // The log grows between page 1 and page 2 — behind the position
-      // (shard 0) and ahead of it (the last shard).
-      churn(first_shard_key, 50);
-      churn(last_shard_key, 50);
+      // The log grows between page 1 and page 2, on every shard.
+      for (int k = 0; k < 8; ++k) churn("grow/" + std::to_string(k), 25);
     }
     ASSERT_LT(pages, 100);
   }
   EXPECT_GE(pages, 3);
-  for (const auto& at : before) {
-    EXPECT_EQ(seen.count(at), 1u)
-        << "shard " << at.first << " seq " << at.second << " skipped";
+  const auto all = registry.log().read(0, SIZE_MAX);
+  EXPECT_EQ(all.size(), 12400u);
+  for (const auto& [index, c] : all) {
+    EXPECT_EQ(seen.count({c.shard, c.seq}), 1u)
+        << "index " << index << " (shard " << c.shard << " seq " << c.seq
+        << ") skipped";
   }
-  std::size_t ahead = 0;
-  for (const cmd::command& c :
-       registry.read_log(registry.shard_count() - 1, 0, SIZE_MAX)) {
-    if (c.key == last_shard_key) ahead += seen.count({c.shard, c.seq});
-  }
-  EXPECT_EQ(ahead, 100u);
+  EXPECT_EQ(seen.size(), all.size());
 }
 
 TEST(NetRemote, ServerStopRejectsRemoteCallsCleanly) {

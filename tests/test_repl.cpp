@@ -1,5 +1,6 @@
-// elect::repl tests: cluster config parsing/validation, the replicated
-// log container, the new wire statuses (not_primary / connection_lost)
+// elect::repl tests: cluster config parsing/validation and quorum
+// thresholds, the command log the cluster replicates, the new wire
+// statuses (not_primary / connection_lost)
 // and peer ops, the follower side of replication driven directly
 // through handle_peer (append/commit/apply, conflicting-tail
 // truncation, replay-rejection forcing a snapshot request, snapshot
@@ -10,10 +11,11 @@
 // redirect-following clients, epoch-fenced failover with a held lease,
 // a late follower catching up via snapshot + suffix, an unconfirmable
 // grant being revoked (and never reaching a watcher or the journal), a
-// step-down answering a parked acquire not_primary, compaction racing
-// live commands without dropping one, followers compacting their own
-// logs and still winning a failover, and an unresponsive member unable
-// to stall elections. The seeded single-threaded simulation of the
+// follower's watchers seeing what committed through the primary, a
+// primary without a quorum stopping at once, a step-down answering a
+// parked acquire not_primary, compaction racing live commands without
+// dropping one, followers compacting their own logs and still winning
+// a failover, and an unresponsive member unable to stall elections. The seeded single-threaded simulation of the
 // same protocol lives in test_repl_sim.
 #include <gtest/gtest.h>
 
@@ -38,12 +40,12 @@
 
 #include "api/client.hpp"
 #include "cmd/command.hpp"
-#include "cmd/log_entry.hpp"
+#include "cmd/log.hpp"
+#include "common/bytes.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
 #include "repl/config.hpp"
-#include "repl/log.hpp"
 #include "repl/node.hpp"
 #include "svc/service.hpp"
 
@@ -116,8 +118,26 @@ TEST(ReplConfig, ValidateCatchesEachMisconfiguration) {
   EXPECT_TRUE(c.validate().has_value());
 }
 
+// A quorum is a strict majority: for n = 1..7 members it is 1, 2, 2, 3,
+// 3, 4, 4, and any two quorums share a member (2q > n), which is what
+// makes one vote per member per term elect at most one primary.
+TEST(ReplConfig, QuorumIsAMajorityAndAnyTwoQuorumsIntersect) {
+  const int expected[] = {1, 2, 2, 3, 3, 4, 4};
+  for (int n = 1; n <= 7; ++n) {
+    repl::cluster_config c;
+    for (int m = 0; m < n; ++m) {
+      c.members.push_back({"10.0.0.1", static_cast<std::uint16_t>(7400 + m)});
+    }
+    ASSERT_FALSE(c.validate().has_value()) << n;
+    const int q = c.quorum();
+    EXPECT_EQ(q, expected[n - 1]) << n << " members";
+    EXPECT_GT(2 * q, n) << n << " members: two quorums could be disjoint";
+    EXPECT_LE(q, n) << n << " members: a quorum larger than the cluster";
+  }
+}
+
 // ---------------------------------------------------------------------
-// The replicated log container.
+// The command log the cluster replicates (cmd::command_log).
 
 cmd::log_entry entry_at_term(std::uint64_t term) {
   cmd::log_entry e;
@@ -125,8 +145,8 @@ cmd::log_entry entry_at_term(std::uint64_t term) {
   return e;
 }
 
-TEST(ReplLog, AppendTruncateSliceAndTermQueries) {
-  repl::replicated_log log;
+TEST(ReplLog, AppendTruncateAndTermQueries) {
+  cmd::command_log log;
   EXPECT_EQ(log.last_index(), 0u);
   EXPECT_EQ(log.first_index(), 1u);
 
@@ -139,9 +159,15 @@ TEST(ReplLog, AppendTruncateSliceAndTermQueries) {
   EXPECT_EQ(log.last_term(), 2u);
   EXPECT_EQ(log.term_at(4), 0u);  // past the end
 
-  const auto batch = log.slice(1, 3);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[1].term, 2u);
+  std::string batch;
+  EXPECT_EQ(log.encode(2, 256, 1 << 20, batch), 2u);
+  byte_reader in(batch);
+  cmd::log_entry e;
+  ASSERT_TRUE(cmd::decode_entry(in, e, 1024));
+  EXPECT_EQ(e.term, 1u);
+  ASSERT_TRUE(cmd::decode_entry(in, e, 1024));
+  EXPECT_EQ(e.term, 2u);
+  EXPECT_TRUE(in.exhausted());
 
   log.truncate_from(3);
   EXPECT_EQ(log.last_index(), 2u);
@@ -150,28 +176,34 @@ TEST(ReplLog, AppendTruncateSliceAndTermQueries) {
   EXPECT_EQ(log.last_index(), 2u);
 }
 
-TEST(ReplLog, CompactionKeepsTheSuffixAndResetRestarts) {
-  repl::replicated_log log;
+TEST(ReplLog, CursorsCompactThePrefixAndRebaseRestarts) {
+  cmd::command_log log;
+  log.commit_manually();
+  const std::uint64_t cursor = log.open_cursor();
   for (int i = 0; i < 4; ++i) log.append(entry_at_term(1));
 
-  log.compact_to(2, 1, {0xAA, 0xBB});
-  EXPECT_EQ(log.snapshot_last_index(), 2u);
-  EXPECT_EQ(log.snapshot_last_term(), 1u);
+  // The prefix leaves once every cursor has passed it; the boundary
+  // keeps its term.
+  log.advance_cursor(cursor, 2);
   EXPECT_EQ(log.first_index(), 3u);
   EXPECT_EQ(log.last_index(), 4u);
   EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.term_at(2), 1u);  // the compaction boundary keeps its term
+  EXPECT_EQ(log.term_at(2), 1u);
   EXPECT_EQ(log.term_at(1), 0u);  // below it is gone
+  EXPECT_FALSE(log.entry(2).has_value());
+  EXPECT_TRUE(log.entry(3).has_value());
 
-  log.truncate_from(1);  // at-or-below the snapshot: only entries drop
+  log.truncate_from(1);  // at-or-below the boundary: only entries drop
   EXPECT_EQ(log.last_index(), 2u);
   EXPECT_EQ(log.size(), 0u);
 
-  log.reset_to(10, 4, {0x01});
+  log.rebase(10, 4);
   EXPECT_EQ(log.last_index(), 10u);
   EXPECT_EQ(log.last_term(), 4u);
+  EXPECT_EQ(log.commit_index(), 10u);
+  EXPECT_EQ(log.applied().first, 10u);
   EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.snapshot_bytes().size(), 1u);
+  log.close_cursor(cursor);
 }
 
 // ---------------------------------------------------------------------
@@ -242,6 +274,8 @@ struct append_req {
   std::vector<cmd::log_entry> entries;
 };
 
+using body_writer = byte_writer<std::string>;
+
 struct snap_req {
   std::uint64_t term = 0;
   std::int32_t leader = -1;
@@ -251,37 +285,37 @@ struct snap_req {
 };
 
 std::string encode_body(const vote_req& v) {
-  cmd::byte_writer out;
+  std::string body;
+  body_writer out(body);
   out.u64(v.term);
   out.i32(v.candidate);
   out.u64(v.last_log_index);
   out.u64(v.last_log_term);
-  return out.take();
+  return body;
 }
 
 std::string encode_body(const append_req& a) {
-  cmd::byte_writer out;
+  std::string body;
+  body_writer out(body);
   out.u64(a.term);
   out.i32(a.leader);
   out.u64(a.prev_index);
   out.u64(a.prev_term);
   out.u64(a.leader_commit);
   out.u32(static_cast<std::uint32_t>(a.entries.size()));
-  for (const cmd::log_entry& e : a.entries) {
-    out.u64(e.term);
-    cmd::encode_command(out, e.change);
-  }
-  return out.take();
+  for (const cmd::log_entry& e : a.entries) cmd::encode_entry(out, e);
+  return body;
 }
 
 std::string encode_body(const snap_req& s) {
-  cmd::byte_writer out;
+  std::string body;
+  body_writer out(body);
   out.u64(s.term);
   out.i32(s.leader);
   out.u64(s.last_index);
   out.u64(s.last_term);
   out.str(s.bytes);
-  return out.take();
+  return body;
 }
 
 struct vote_resp {
@@ -302,7 +336,7 @@ struct snap_resp {
 };
 
 vote_resp decode_vote(const std::string& body) {
-  cmd::byte_reader in(body);
+  byte_reader in(body);
   vote_resp v;
   std::uint8_t granted = 0;
   EXPECT_TRUE(in.u64(v.term) && in.u8(granted) && in.exhausted());
@@ -311,7 +345,7 @@ vote_resp decode_vote(const std::string& body) {
 }
 
 append_resp decode_append(const std::string& body) {
-  cmd::byte_reader in(body);
+  byte_reader in(body);
   append_resp a;
   std::uint8_t success = 0;
   std::uint8_t need = 0;
@@ -323,7 +357,7 @@ append_resp decode_append(const std::string& body) {
 }
 
 snap_resp decode_snap(const std::string& body) {
-  cmd::byte_reader in(body);
+  byte_reader in(body);
   snap_resp s;
   std::uint8_t ok = 0;
   EXPECT_TRUE(in.u64(s.term) && in.u8(ok) && in.exhausted());
@@ -667,14 +701,15 @@ TEST(ReplNode, MalformedPeerBodiesAreRefused) {
     }
     bad.emplace_back(kind, body + std::string(1, '\0'));
   }
-  cmd::byte_writer oversized;
-  oversized.u64(5);
-  oversized.i32(1);
-  oversized.u64(1);
-  oversized.u64(1);
-  oversized.u64(3);
-  oversized.u32((1u << 16) + 1);
-  bad.emplace_back(net::wire::op::peer_append, oversized.take());
+  std::string oversized;
+  body_writer out(oversized);
+  out.u64(5);
+  out.i32(1);
+  out.u64(1);
+  out.u64(1);
+  out.u64(3);
+  out.u32((1u << 16) + 1);
+  bad.emplace_back(net::wire::op::peer_append, oversized);
 
   for (const auto& [kind, body] : bad) {
     net::wire::request r;
@@ -1082,9 +1117,9 @@ TEST(ReplCluster, UnconfirmedGrantIsRevokedNotLeftHeld) {
 }
 
 // A closed connection's reclaim is its implicit disconnect, and on a
-// primary that lost its quorum the commit gate holds it for up to
-// commit_wait_ms. It waits on the side pool, not on the reactor: a
-// bystander sharing the (only) reactor is still answered at once.
+// primary that lost its quorum it must not hold the reactor: it ends
+// the leases locally and waits on no commit gate, so a bystander sharing
+// the (only) reactor is still answered at once.
 TEST(ReplCluster, GatedDisconnectReclaimDoesNotStallTheReactor) {
   cluster_harness cluster(3);
   cluster.reactors = 1;
@@ -1103,7 +1138,7 @@ TEST(ReplCluster, GatedDisconnectReclaimDoesNotStallTheReactor) {
     if (i != p) cluster.stop_member(i);
   }
   holder.close();
-  // The reclaim applies locally, then waits on the gate.
+  // The reclaim applies locally.
   svc::instance_registry& registry = cluster.services[idx]->registry();
   const auto reclaimed_by = std::chrono::steady_clock::now() + 10s;
   while (registry.leader_of("locks/reclaimed") != -1) {
@@ -1114,6 +1149,87 @@ TEST(ReplCluster, GatedDisconnectReclaimDoesNotStallTheReactor) {
   EXPECT_FALSE(bystander.metrics_json().empty());
   EXPECT_LT(std::chrono::steady_clock::now() - before, 1s)
       << "the reactor waited on the reclaim's commit gate";
+}
+
+// Stopping a primary that lost its quorum does not wait on the commit
+// gate: each closed connection's reclaim ends its leases locally and
+// waits for nothing, so stop() returns at once even with more holders
+// than executors.
+TEST(ReplCluster, StoppingAPrimaryWithoutAQuorumDoesNotWaitOnTheGate) {
+  cluster_harness cluster(3);
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  const auto idx = static_cast<std::size_t>(p);
+  std::vector<std::unique_ptr<net::client>> holders;
+  for (int i = 0; i < 8; ++i) {
+    holders.push_back(
+        std::make_unique<net::client>("127.0.0.1", cluster.ports[idx]));
+    ASSERT_TRUE(holders.back()->connected());
+    ASSERT_TRUE(holders.back()->try_acquire("locks/held-" + std::to_string(i)).won);
+  }
+  for (int i = 0; i < 3; ++i) {
+    if (i != p) cluster.stop_member(i);
+  }
+  const auto before = std::chrono::steady_clock::now();
+  cluster.servers[idx]->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - before, 1s)
+      << "stop() waited on the reclaims' commit gate";
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(cluster.services[idx]->registry().leader_of(
+                  "locks/held-" + std::to_string(i)),
+              -1)
+        << i;
+  }
+}
+
+// A follower holds the same command log as its primary and executes it
+// as it commits, so a watch on a follower sees a grant made through the
+// primary once it committed — and the follower's journal records it.
+TEST(ReplCluster, FollowerWatchersSeeGrantsCommittedThroughThePrimary) {
+  cluster_harness cluster(3);
+  cluster.journal = true;
+  cluster.start_all();
+  const int p = cluster.wait_for_primary(10s);
+  ASSERT_GE(p, 0);
+  const int f = (p + 1) % 3;
+  svc::service& follower = *cluster.services[static_cast<std::size_t>(f)];
+  std::mutex mutex;
+  std::vector<svc::watch_event> seen;
+  const std::uint64_t watch =
+      follower.watch("locks/watched", [&](const svc::watch_event& e) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        seen.push_back(e);
+      });
+  ASSERT_NE(watch, 0u);
+
+  api::client client(cluster.endpoints_csv());
+  ASSERT_TRUE(client.connected());
+  auto got = client.try_acquire("locks/watched");
+  ASSERT_TRUE(got.won());
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  for (;;) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (!seen.empty()) break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the follower's watcher saw nothing";
+    std::this_thread::sleep_for(5ms);
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(seen[0].kind, svc::transition::elected);
+    EXPECT_EQ(seen[0].epoch, got.epoch);
+  }
+  bool journaled = false;
+  for (const obs::event_record& r : follower.journal()->tail(64)) {
+    journaled = journaled || (r.key == "locks/watched" &&
+                              r.kind == obs::event_kind::elected);
+  }
+  EXPECT_TRUE(journaled);
+  follower.unwatch(watch);
+  EXPECT_EQ(got.lease.release(), api::lease_status::ok);
 }
 
 // A primary that steps down with an acquire parked on it answers that
@@ -1207,10 +1323,10 @@ TEST(ReplCluster, UnconfirmedGrantNeverReachesWatchersOrTheJournal) {
   service.unwatch(watch);
 }
 
-// A snapshot trim must never drop a command the drain has not shipped:
-// with compaction every 64 entries racing a client that mutates the
-// primary back to back, every op is confirmed in time and no follower
-// ever needs a snapshot to heal a seq gap.
+// A compaction must never drop an entry a follower still needs: with
+// compaction every 64 entries racing a client that mutates the primary
+// back to back, every op is confirmed in time and no follower ever needs
+// a snapshot to heal a seq gap.
 TEST(ReplCluster, CompactionNeverDropsAnUnshippedCommand) {
   cluster_harness cluster(3, /*lease_ttl_ms=*/0, /*fence_bump=*/1000,
                           /*compact_threshold=*/64);

@@ -18,8 +18,8 @@
 // through a multi-batch catch-up. Clients run try_acquire / release /
 // renew through svc::service sessions on whichever member believes it is
 // primary, with no commit gate installed: the harness acks an op once
-// that member's commit covers the op's (shard, seq), fails it if the
-// member steps down first, and revokes an unconfirmed grant on a step
+// that member's commit index covers the log index the op appended at,
+// in the term it ran in, fails it if the member steps down first, and revokes an unconfirmed grant on a step
 // down or after commit_wait_ms — the gate's contract, without a blocked
 // thread. A worker that moves off a member that is no longer primary
 // reclaims its session there, as the server's disconnect hook does when
@@ -183,8 +183,8 @@ class simulation {
     chaos::op_kind op = chaos::op_kind::acquire;
     std::string key{};
     std::uint64_t epoch = 0;
-    int shard = 0;
-    std::uint64_t seq = 0;
+    /// The member's last log index right after the op ran.
+    std::uint64_t index = 0;
     std::uint64_t start = 0;
     std::uint64_t deadline = 0;
   };
@@ -365,15 +365,15 @@ void simulation::crash(int m) {
 /// of the others holds every entry it holds — an entry a primary counted
 /// it for (an ack may still be in flight) must survive the crash.
 bool simulation::may_lose_log(int victim) {
-  const repl::replicated_log& own = at(victim).core->log();
+  const cmd::command_log& own = at(victim).core->log();
   const std::uint64_t index = own.last_index();
   const std::uint64_t term = own.last_term();
   if (index == 0) return true;
   int holders = 0;
   for (int m = 0; m < opt_.members; ++m) {
     if (m == victim || !at(m).up) continue;
-    const repl::replicated_log& log = at(m).core->log();
-    if (index <= log.last_index() && index >= log.snapshot_last_index() &&
+    const cmd::command_log& log = at(m).core->log();
+    if (index <= log.last_index() && index + 1 >= log.first_index() &&
         log.term_at(index) == term) {
       ++holders;
     }
@@ -464,7 +464,7 @@ void simulation::after(int m) {
   // the entries in between arrive again; check what the log holds.
   const std::uint64_t reach = std::min(c.commit_index(), c.log().last_index());
   for (std::uint64_t i = s.checked + 1; i <= reach; ++i) {
-    if (i < c.log().snapshot_last_index()) continue;
+    if (i + 1 < c.log().first_index()) continue;
     const std::uint64_t term = c.log().term_at(i);
     const auto [it, fresh] = committed_.emplace(i, term);
     if (!fresh && it->second != term) {
@@ -855,12 +855,12 @@ void simulation::resolve(int w) {
     // member the replica registry refuses the revoke.
     if (op.op == chaos::op_kind::acquire) {
       (void)session(op.member, w).reclaim(op.key, op.epoch);
-      (void)s.core->drain();
+      (void)s.core->replicate();
     }
     finish(w, chaos::outcome::connection_lost);
     return;
   }
-  if (s.service->registry().committed_seq(op.shard) >= op.seq) {
+  if (s.core->commit_index() >= op.index) {
     finish(w, chaos::outcome::ok);
     return;
   }
@@ -868,7 +868,7 @@ void simulation::resolve(int w) {
     if (op.op == chaos::op_kind::acquire) {
       // The gate revokes a grant it could not confirm.
       (void)session(op.member, w).reclaim(op.key, op.epoch);
-      (void)s.core->drain();
+      (void)s.core->replicate();
     }
     finish(w, chaos::outcome::connection_lost);
   }
@@ -938,7 +938,7 @@ void simulation::on_client(int w) {
                  : chaos::outcome::not_leader,
              op.key, op.epoch, now_);
       (void)s.service->force_release(op.key);
-      (void)s.core->drain();
+      (void)s.core->replicate();
       after(m);
       push({.at = now_ + think(), .kind = ev::client, .at_member = w,
             .call = ++k.generation});
@@ -952,7 +952,7 @@ void simulation::on_client(int w) {
       record(w, op.op, chaos::outcome::lost, op.key, got.epoch, now_);
       if (registry.leader_of(op.key) >= 0 && stranded(m, op.key)) {
         (void)s.service->force_release(op.key);  // as above
-        (void)s.core->drain();
+        (void)s.core->replicate();
         after(m);
       }
       push({.at = now_ + think(), .kind = ev::client, .at_member = w,
@@ -961,10 +961,9 @@ void simulation::on_client(int w) {
     }
     op.epoch = got.epoch;
   }
-  op.shard = registry.shard_of(op.key);
-  op.seq = registry.shard_last_seq(op.shard);
+  op.index = s.core->log().last_index();
   k.pending = op;
-  (void)s.core->drain();
+  (void)s.core->replicate();
   push({.at = op.deadline, .kind = ev::client, .at_member = w,
         .call = ++k.generation});
   after(m);
@@ -1208,7 +1207,7 @@ TEST(ReplSimLab, DeposedPrimaryTakesNoMutation) {
   auto holder = deposed.connect();
   const auto won = holder.try_acquire("k");
   ASSERT_TRUE(won.won);
-  (void)cores[0]->drain();
+  (void)cores[0]->replicate();
 
   (void)cores[1]->tick(400);  // member 1 starts term 2
   exchange(1, 0, 0, 400);     // ... and its vote request deposes member 0
