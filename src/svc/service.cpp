@@ -260,7 +260,7 @@ lease_status service::force_release(const std::string& key) {
   if (status == lease_status::ok) {
     metrics_.record_forced_release(registry_.shard_of(key));
   }
-  return gate_lease_op(key, status);
+  return gate_lease_op(key, status, /*ends_epoch=*/true);
 }
 
 void service::render_command(const cmd::command& c) {
@@ -367,8 +367,17 @@ acquire_result service::gate_acquire(acquire_result result,
 }
 
 lease_status service::gate_lease_op(const std::string& key,
-                                    lease_status status) {
+                                    lease_status status, bool ends_epoch) {
   if (status != lease_status::ok) return status;
+  if (commit_gate_ && ends_epoch) {
+    // Ending the epoch woke any acquirers parked on the key. Give way
+    // once before the gate ships the log (group commit at no delay):
+    // where the woken retry shares this CPU, it appends its grant first
+    // and one append round commits both. Left to the scheduler, the
+    // release often ships alone and the grant waits a second round.
+    // With nothing else runnable here the yield returns at once.
+    std::this_thread::yield();
+  }
   const bool committed = !commit_gate_ || commit_gate_(key);
   publish_committed();
   return committed ? status : lease_status::connection_lost;
@@ -696,8 +705,10 @@ lease_status service::count_lease_op(const std::string& key,
 lease_status service::session::release(const std::string& key) {
   const obs::scoped_span span(obs::phase::lease_op);
   return owner_->gate_lease_op(
-      key, owner_->count_lease_op(key, owner_->registry_.release(key, id_),
-                                  /*renewal=*/false, 0));
+      key,
+      owner_->count_lease_op(key, owner_->registry_.release(key, id_),
+                             /*renewal=*/false, 0),
+      /*ends_epoch=*/true);
 }
 
 lease_status service::session::release(const std::string& key,
@@ -706,7 +717,8 @@ lease_status service::session::release(const std::string& key,
   return owner_->gate_lease_op(
       key,
       owner_->count_lease_op(key, owner_->registry_.release(key, id_, epoch),
-                             /*renewal=*/false, epoch));
+                             /*renewal=*/false, epoch),
+      /*ends_epoch=*/true);
 }
 
 lease_status service::session::renew(const std::string& key,
@@ -716,7 +728,8 @@ lease_status service::session::renew(const std::string& key,
       key, owner_->count_lease_op(
                key,
                owner_->registry_.renew(key, id_, epoch, owner_->lease_ttl()),
-               /*renewal=*/true, epoch));
+               /*renewal=*/true, epoch),
+      /*ends_epoch=*/false);
 }
 
 std::size_t service::session::disconnect() {
@@ -732,7 +745,8 @@ lease_status service::session::reclaim(const std::string& key,
   return owner_->gate_lease_op(
       key,
       owner_->count_lease_op(key, owner_->registry_.reclaim(key, id_, epoch),
-                             /*renewal=*/false, epoch));
+                             /*renewal=*/false, epoch),
+      /*ends_epoch=*/true);
 }
 
 std::size_t service::session::reclaim_all() {

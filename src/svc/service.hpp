@@ -464,9 +464,12 @@ class service {
                                             const std::string& key,
                                             int session_id);
   /// Same for single-key lease ops: an `ok` that never commits becomes
-  /// `connection_lost`.
+  /// `connection_lost`. An op that `ends_epoch` (release, reclaim,
+  /// force-release) yields once first, so the grant a woken acquirer
+  /// wins can join the same append.
   [[nodiscard]] lease_status gate_lease_op(const std::string& key,
-                                           lease_status status);
+                                           lease_status status,
+                                           bool ends_epoch);
   void prune_participated(worker& w);
   void sweeper_main();
   /// Render one command the feed read into the watch hub and (when
